@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import BOTTOM
+from .mesh import BOTTOM, Mesh
 
 
 @dataclass
@@ -263,7 +263,12 @@ def eoc(err_coarse, err_fine):
 
 @dataclass
 class ErrorRecord:
-    """One row of a convergence table."""
+    """One row of a convergence table.
+
+    ``mesh`` and ``u`` hold the level's classified mesh and the solution
+    the row describes, in mesh ordering, when the row comes from
+    ``convergence_study``.
+    """
     level: int
     ndof: int
     h: float
@@ -273,6 +278,8 @@ class ErrorRecord:
     eoc_l2: Optional[float]
     iterations: int
     converged: bool
+    mesh: Optional[Mesh] = field(default=None, repr=False, compare=False)
+    u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
@@ -339,5 +346,6 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
                                    h=mesh.h, l1_error=l1, l2_error=l2,
                                    eoc_l1=e1, eoc_l2=e2,
                                    iterations=report.iterations,
-                                   converged=report.converged))
+                                   converged=report.converged,
+                                   mesh=mesh, u=report.u))
     return records

@@ -156,22 +156,21 @@ def run(argv=None):
 
     try:
         problem = _make_problem(args)
+        options = _options(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     try:
         os.makedirs(args.outdir, exist_ok=True)
-        options = _options(args)
 
         if args.command == "convergence":
             records = convergence_study(problem, args.grid, args.levels,
                                         options, warm_start=args.warm_start)
             write_csv(records, os.path.join(args.outdir, "report.csv"))
             if args.emit_vtk:
-                mesh = _make_mesh(args.grid, args.levels[-1], problem)
-                report = solve(mesh, problem, options)
-                write_vtk(mesh, report.u,
+                finest = records[-1]
+                write_vtk(finest.mesh, finest.u,
                           os.path.join(args.outdir, "solution.vtk"))
             for r in records:
                 print(f"level {r.level}: ndof {r.ndof} iterations "

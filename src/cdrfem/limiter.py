@@ -11,9 +11,30 @@ accept scalars or aligned arrays.
 Division by the artificial diffusion is safe everywhere (it has a positive
 floor), and the limited fluxes are assembled from products of the form
 2*d_ij*(...) exactly as written, so antisymmetry holds to the last bit.
+
+The scalar helpers above ``EdgeState`` state each step as defined.
+``edge_state`` evaluates the same arithmetic for all edges at once; where it
+regroups a step, the regrouping is exact (a negation, or a factor that is
+symmetric in i and j), so its fluxes agree with the helpers bit for bit.
+Its one pass over the edges relies on these invariants:
+
+* Unknowns come first and edges are sorted by their row, so the rows of
+  free nodes own the prefix ``et.indptr[num_free]`` of the edge table.
+  Dirichlet rows are handled by slicing, not by masks.
+* The bar-state bounds of a row contain every shifted bar state of that
+  row, so the clip window [lo, hi] of every edge satisfies lo <= 0 <= hi.
+  Clipping ``min(max(fs, lo), hi)`` then equals the sign-wise selection of
+  ``wb_limit``.
+* d_ij is symmetric, so the opposite-side bounds of edge ij are the negated
+  owner-side bounds of edge ji.
+* Edges into Dirichlet nodes have no opposite-side bound.  Infinite bounds
+  on Dirichlet rows make that side drop out of the clip without a branch.
+* Sweep-invariant edge data live in ``LimiterContext``.  The diagnostics
+  ``R``, ``alpha`` and ``ubar_s_star`` feed no iterate and are computed
+  when read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -143,6 +164,8 @@ class EdgeState:
     marked as such.  ``wflux`` is the product 2*d_ij*(limited bar state)
     that drives the row residuals, ``rhs`` the per-node right-hand side
     that remains after the limiter absorbed its share of the source.
+    The balanced limiter's diagnostics ``R``, ``alpha`` and
+    ``ubar_s_star`` feed no iterate; they are computed on first read.
     """
 
     limiter: str
@@ -162,28 +185,76 @@ class EdgeState:
     fict_incr: Optional[np.ndarray] = None
     Qp: Optional[np.ndarray] = None
     Qm: Optional[np.ndarray] = None
-    R: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
     alphaP: Optional[np.ndarray] = None
     ubar_s: Optional[np.ndarray] = None
     fs: Optional[np.ndarray] = None
     fs_star: Optional[np.ndarray] = None
-    ubar_s_star: Optional[np.ndarray] = None
     bar_min: Optional[np.ndarray] = None       # per node
     bar_max: Optional[np.ndarray] = None       # per node
+    alpha_override: Optional[float] = None
+    ctx: Optional["LimiterContext"] = field(default=None, repr=False)
+
+    @cached_property
+    def R(self):
+        """One-sided correction factors of the balanced limiter."""
+        if self.P is None:
+            return None
+        if self.alpha_override is not None:
+            return self.alpha
+        return limiting_factor(self.P, self.Qp, self.Qm,
+                               self.ctx.ops.b[self.ei], self.ctx.free_row)
+
+    @cached_property
+    def alpha(self):
+        """Symmetric factors min(R_ij, R_ji) of the balancing fluxes."""
+        if self.P is None:
+            return None
+        if self.alpha_override is not None:
+            return np.full(len(self.P), float(self.alpha_override))
+        return np.minimum(self.R, self.R[self.ctx.et.rev])
+
+    @cached_property
+    def ubar_s_star(self):
+        """Limited shifted bar states of the balanced limiter."""
+        if self.fs_star is None:
+            return None
+        return self.ubar_s + self.fs_star / self.ctx.two_d
 
 
 class LimiterContext:
-    """Per-solve cache of edge geometry and nodal coefficient samples."""
+    """Per-solve cache of edge geometry, nodal coefficient samples and the
+    sweep-invariant edge constants of the limiters.
+
+    ``num_free_edges`` edges lead out of free rows; ``b_neg`` and ``b_zero``
+    hold the sign of b_i on those edges.  ``two_d`` is 2*d_ij and ``bac_e``
+    is b_i / a_i^C of the owner row, per edge; ``degree`` counts the edges of
+    each row.
+    """
 
     def __init__(self, mesh, ops, problem):
         self.mesh = mesh
         self.ops = ops
         self.problem = problem
-        self.et = mesh.edges
-        self.free_row = self.et.i < mesh.num_free
-        self.j_dirichlet = self.et.j >= mesh.num_free
+        et = self.et = mesh.edges
+        m = mesh.num_free
+        self.free_row = et.i < m
+        self.num_free_edges = int(et.indptr[m])
+        self.degree = np.diff(et.indptr)
+        self.two_d = 2.0 * ops.d_e
         self.b_over_ac = ops.b / ops.art_row
+        self.bac_e = self.b_over_ac[et.i]
+        b_free = ops.b[et.i[:self.num_free_edges]]
+        self.b_neg = b_free < 0.0
+        self.b_zero = b_free == 0.0
+        # column r lists the edges of row r, the last one repeated on short
+        # rows, so row extrema are reductions over the first axis
+        k = np.arange(self.degree.max(initial=1))[:, None]
+        self.row_table = et.indptr[:-1] + np.minimum(k, self.degree - 1)
+
+    def row_bounds(self, values):
+        """Per-node minimum and maximum of an edge array over each row."""
+        table = values[self.row_table]
+        return np.min(table, axis=0), np.max(table, axis=0)
 
     @cached_property
     def f_node(self):
@@ -224,6 +295,31 @@ class LimiterContext:
                              shape=(len(kcell), mesh.num_vertices))
 
 
+def _mc_state(ctx, u, limiter, limit_fluxes):
+    """Plain Galerkin fluxes, or the bar-state limiter of the fluxes."""
+    ops, et = ctx.ops, ctx.et
+    d = ops.d_e
+    ui, uj = np.repeat(u, ctx.degree), u[et.j]
+    ubar = bar_state(ui, uj, ops.conv_e, d)
+    f = mc_target_flux(ui, uj, d, ops.reac_e)
+    if limiter == "galerkin":
+        return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
+                         ftarget=f, wflux=2.0 * d * ubar + f, rhs=ops.b)
+    umin, umax = ctx.row_bounds(uj)
+    np.minimum(umin, u, out=umin)
+    np.maximum(umax, u, out=umax)
+    if limit_fluxes:
+        fstar = mc_limit(f, d, ubar, ubar[et.rev], umin[et.i], umax[et.i],
+                         umin[et.j], umax[et.j])
+    else:
+        fstar = f
+    return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
+                     ftarget=f, fstar=fstar,
+                     ubar_star=ubar + fstar / (2.0 * d),
+                     umin=umin, umax=umax,
+                     wflux=2.0 * d * ubar + fstar, rhs=ops.b)
+
+
 def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
                limit_fluxes=True):
     """Evaluate one limiter sweep at the iterate u.
@@ -231,81 +327,106 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     ``alpha_override`` and ``limit_fluxes`` disable parts of the balanced
     limiter; they exist for identity checks, not for production runs.
     """
-    ops, et = ctx.ops, ctx.et
-    ui, uj = u[et.i], u[et.j]
-    d, conv, reac = ops.d_e, ops.conv_e, ops.reac_e
-    ubar = bar_state(ui, uj, conv, d)
-
-    if limiter == "galerkin":
-        f = mc_target_flux(ui, uj, d, reac)
-        return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
-                         ftarget=f, wflux=2.0 * d * ubar + f, rhs=ops.b)
-
-    if limiter == "mc":
-        f = mc_target_flux(ui, uj, d, reac)
-        umin = np.minimum(np.minimum.reduceat(uj, et.indptr[:-1]), u)
-        umax = np.maximum(np.maximum.reduceat(uj, et.indptr[:-1]), u)
-        if limit_fluxes:
-            fstar = mc_limit(f, d, ubar, ubar[et.rev], umin[et.i], umax[et.i],
-                             umin[et.j], umax[et.j])
-        else:
-            fstar = f
-        return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
-                         ftarget=f, fstar=fstar,
-                         ubar_star=ubar + fstar / (2.0 * d),
-                         umin=umin, umax=umax,
-                         wflux=2.0 * d * ubar + fstar, rhs=ops.b)
-
+    if limiter in ("galerkin", "mc"):
+        return _mc_state(ctx, u, limiter, limit_fluxes)
     if limiter != "wmc":
         raise ValueError(f"unknown limiter {limiter!r}")
-
-    s = ctx.f_node - ctx.c_node * u
-    P = 0.25 * (s[et.i] + s[et.j]) * ctx.geom_e
-    bac_i = ctx.b_over_ac[et.i]
-    cand_hi = np.maximum(ui, uj) - ubar - bac_i
-    cand_lo = np.minimum(ui, uj) - ubar - bac_i
-    if variant == "full":
-        fict = ctx.grad_incr @ u
-        Qp = np.maximum(0.5 * fict, cand_hi)
-        Qm = np.minimum(0.5 * fict, cand_lo)
-    elif variant == "simplified":
-        fict = None
-        Qp, Qm = cand_hi, cand_lo
-    else:
+    if variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
 
-    b_e = ops.b[et.i]
+    # the first access of grad_incr builds the mirror cells, before any
+    # per-edge temporary of this sweep exists
+    fict = ctx.grad_incr @ u if variant == "full" else None
+    ops, et = ctx.ops, ctx.et
+    nf, two_d = ctx.num_free_edges, ctx.two_d
+    ui, uj = np.repeat(u, ctx.degree), u[et.j]
+    du = ui - uj
+    # bar_state(ui, uj, conv, d), with conv*(uj - ui) = -conv*(ui - uj)
+    ubar = ui + uj
+    ubar *= 0.5
+    tmp = ops.conv_e * du
+    tmp /= two_d
+    ubar += tmp
+
+    s = ctx.f_node - ctx.c_node * u
+    P = np.repeat(s, ctx.degree)
+    P += s[et.j]
+    P *= 0.25
+    P *= ctx.geom_e
+
+    # one-sided windows around the bar state; the full variant widens them
+    # by half the fictitious-value increment
+    Qp = np.maximum(ui, uj)
+    Qp -= ubar
+    Qp -= ctx.bac_e
+    Qm = np.minimum(ui, uj)
+    Qm -= ubar
+    Qm -= ctx.bac_e
+    if fict is not None:
+        half = 0.5 * fict
+        np.maximum(half, Qp, out=Qp)
+        np.minimum(half, Qm, out=Qm)
+
     if alpha_override is None:
-        rp = _r_abs_p(P, Qp, Qm, b_e, ctx.free_row)
-        alphaP = np.sign(P) * np.minimum(rp, rp[et.rev])
-        R = limiting_factor(P, Qp, Qm, b_e, ctx.free_row)
-        alpha = np.minimum(R, R[et.rev])
+        # limit_balancing: R|P| of the owner row (|P| on Dirichlet rows),
+        # then the smaller magnitude of both orientations
+        sgn = np.sign(P)
+        Pf = P[:nf]
+        sink = ctx.b_neg | (ctx.b_zero & (Pf >= 0.0))
+        rp = np.empty_like(P)
+        np.multiply(sgn[:nf], np.where(sink, np.minimum(Pf, Qp[:nf]),
+                                       np.maximum(Pf, Qm[:nf])),
+                    out=rp[:nf])
+        np.abs(P[nf:], out=rp[nf:])
+        alphaP = np.minimum(rp, rp[et.rev])
+        alphaP *= sgn
     else:
-        alpha = np.full(len(P), float(alpha_override))
-        R = alpha
-        alphaP = alpha * P
+        alphaP = float(alpha_override) * P
 
-    ubar_s = ubar + alphaP + bac_i
-    fs = wb_target_flux(ui, uj, d, reac, alphaP)
-    bar_min = np.minimum.reduceat(ubar_s, et.indptr[:-1])
-    bar_max = np.maximum.reduceat(ubar_s, et.indptr[:-1])
-    if limit_fluxes:
-        fs_star = wb_limit(fs, d, ubar_s, ubar_s[et.rev], bar_min[et.i],
-                           bar_max[et.i], bar_min[et.j], bar_max[et.j],
-                           ctx.j_dirichlet)
-    else:
-        fs_star = fs
+    ubar_s = ubar + alphaP
+    ubar_s += ctx.bac_e
+    # wb_target_flux
+    fs = 0.5 * du
+    fs -= alphaP
+    fs *= two_d
+    np.multiply(ops.reac_e, du, out=tmp)
+    fs += tmp
+    bar_min, bar_max = ctx.row_bounds(ubar_s)
+
     # rows of Dirichlet nodes carry no fluxes in the final system
-    fs_star = np.where(ctx.free_row, fs_star, 0.0)
+    fs_star = np.zeros_like(fs)
+    if limit_fluxes:
+        # wb_limit on the free rows.  d is symmetric, so the opposite-side
+        # bounds of edge ij are the negated own-side bounds of edge ji; on
+        # Dirichlet rows they are infinite, so edges into Dirichlet nodes
+        # keep only their owner-side constraint
+        hi = np.repeat(bar_max, ctx.degree)
+        hi -= ubar_s
+        hi *= two_d
+        hi[nf:] = np.inf
+        lo = np.repeat(bar_min, ctx.degree)
+        lo -= ubar_s
+        lo *= two_d
+        lo[nf:] = -np.inf
+        rev = et.rev[:nf]
+        cap = np.negative(lo[rev])
+        np.minimum(hi[:nf], cap, out=cap)
+        floor = np.negative(hi[rev])
+        np.maximum(lo[:nf], floor, out=floor)
+        # floor <= 0 <= cap, so clipping equals the sign-wise selection
+        np.maximum(fs[:nf], floor, out=fs_star[:nf])
+        np.minimum(fs_star[:nf], cap, out=fs_star[:nf])
+    else:
+        fs_star[:nf] = fs[:nf]
 
+    wflux = two_d * ubar_s
+    wflux += fs_star
     return EdgeState(limiter=limiter, variant=variant, ei=et.i, ej=et.j,
                      ubar=ubar, s=s, P=P, fict_incr=fict, Qp=Qp, Qm=Qm,
-                     R=R, alpha=alpha, alphaP=alphaP, ubar_s=ubar_s, fs=fs,
-                     fs_star=fs_star,
-                     ubar_s_star=ubar_s + fs_star / (2.0 * d),
-                     bar_min=bar_min, bar_max=bar_max,
-                     wflux=2.0 * d * ubar_s + fs_star,
-                     rhs=np.zeros(len(ctx.b_over_ac)))
+                     alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
+                     bar_min=bar_min, bar_max=bar_max, wflux=wflux,
+                     rhs=np.zeros(len(u)), alpha_override=alpha_override,
+                     ctx=ctx)
 
 
 def write_edge_state(state, path):

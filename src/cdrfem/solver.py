@@ -40,6 +40,25 @@ class SolveOptions:
     # point.  The mean of bound-preserving iterates preserves the bounds.
     tail_average: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Reject settings no solve can honour, before any work is done."""
+        if self.limiter not in LIMITERS:
+            raise ValueError(f"unknown limiter {self.limiter!r}")
+        if self.wb_variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.wb_variant!r}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 <= self.tail_average <= self.max_iter:
+            raise ValueError(f"tail_average must lie in [0, max_iter], got "
+                             f"{self.tail_average}")
+
 
 @dataclass
 class SolveReport:
@@ -59,13 +78,29 @@ def row_weights(ops):
     return ops.reaction_lumped + ops.art_row - diff_row
 
 
-def residual(ops, state, u):
-    """Row residuals of the frozen-state system over the unknown rows."""
+def _gather(ops, state, u):
+    """Row sums of 2 d_ij ubar*_ij - a_ij^D u_j over the unknown rows.
+
+    Unknowns come first and edges are sorted by row, so the rows of the
+    unknowns own the leading ``indptr[num_free]`` edges.
+    """
     et = ops.mesh.edges
     m = ops.num_free
-    gather = np.add.reduceat(state.wflux - ops.diff_e * u[et.j], et.indptr[:-1])
-    a = row_weights(ops)
-    return a[:m] * u[:m] - gather[:m] - state.rhs[:m]
+    nf = et.indptr[m]
+    terms = ops.diff_e[:nf] * u[et.j[:nf]]
+    np.subtract(state.wflux[:nf], terms, out=terms)
+    return np.add.reduceat(terms, et.indptr[:m])
+
+
+def residual(ops, state, u, weights=None):
+    """Row residuals of the frozen-state system over the unknown rows.
+
+    ``weights`` is ``row_weights(ops)``; a solve passes it in so the
+    constant weights are reduced once, not on every sweep.
+    """
+    m = ops.num_free
+    a = row_weights(ops) if weights is None else weights
+    return a[:m] * u[:m] - _gather(ops, state, u) - state.rhs[:m]
 
 
 def row_residual(ops, state, u, i):
@@ -79,14 +114,15 @@ def row_residual(ops, state, u, i):
     return float(a * u[i] - gather - state.rhs[i])
 
 
-def fixed_point_step(ops, state, u):
-    """One undamped update of all unknowns; Dirichlet entries pass through."""
-    et = ops.mesh.edges
+def fixed_point_step(ops, state, u, weights=None):
+    """One undamped update of all unknowns; Dirichlet entries pass through.
+
+    ``weights`` is ``row_weights(ops)``, as in ``residual``.
+    """
     m = ops.num_free
-    gather = np.add.reduceat(state.wflux - ops.diff_e * u[et.j], et.indptr[:-1])
-    a = row_weights(ops)
+    a = row_weights(ops) if weights is None else weights
     unew = u.copy()
-    unew[:m] = (gather[:m] + state.rhs[:m]) / a[:m]
+    unew[:m] = (_gather(ops, state, u) + state.rhs[:m]) / a[:m]
     return unew
 
 
@@ -121,22 +157,20 @@ def solve(mesh, problem, options=None, ops=None):
     """
     if options is None:
         options = SolveOptions()
+    options.validate()
     if mesh.num_free is None:
         raise ValueError("mesh must be classified before solving")
-    if options.limiter not in LIMITERS:
-        raise ValueError(f"unknown limiter {options.limiter!r}")
-    if options.wb_variant not in VARIANTS:
-        raise ValueError(f"unknown variant {options.wb_variant!r}")
     if ops is None:
         ops = assemble(mesh, problem)
-    if np.any(row_weights(ops)[:mesh.num_free] <= 0.0):
+    weights = row_weights(ops)
+    if np.any(weights[:mesh.num_free] <= 0.0):
         raise ValueError("nonpositive fixed-point row weight; coefficient "
                          "assumptions violated")
 
     ctx = LimiterContext(mesh, ops, problem)
     u = _initial_iterate(mesh, problem, options.initial_guess)
     omega = float(options.damping)
-    tail = max(int(options.tail_average), 0)
+    tail = options.tail_average
 
     history = []
     bound_max = 0.0
@@ -146,7 +180,7 @@ def solve(mesh, problem, options=None, ops=None):
     acc, acc_n = None, 0
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = float(np.linalg.norm(residual(ops, state, u)))
+        rnorm = float(np.linalg.norm(residual(ops, state, u, weights)))
         if not np.isfinite(rnorm):
             raise RuntimeError(
                 f"fixed-point iteration diverged after {iterations} sweeps")
@@ -163,7 +197,7 @@ def solve(mesh, problem, options=None, ops=None):
             break
         if iterations >= options.max_iter:
             break
-        unew = fixed_point_step(ops, state, u)
+        unew = fixed_point_step(ops, state, u, weights)
         u = unew if omega == 1.0 else (1.0 - omega) * u + omega * unew
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:
@@ -173,7 +207,7 @@ def solve(mesh, problem, options=None, ops=None):
     if not converged and acc is not None:
         u = acc / acc_n
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = float(np.linalg.norm(residual(ops, state, u)))
+        rnorm = float(np.linalg.norm(residual(ops, state, u, weights)))
         history.append(rnorm)
         converged = rnorm <= options.tol
 

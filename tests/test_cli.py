@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cdrfem import (PROBLEMS, build_level0, classify_and_order, error_norms,
+                    refine)
 from cdrfem.cli import CSV_HEADER, run
 
 
@@ -109,6 +111,54 @@ def test_convergence_emit_vtk(tmp_path):
     assert code == 0
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "solution.vtk").exists()
+
+
+def read_vtk_field(path):
+    lines = path.read_text().splitlines()
+    npts = int(lines[4].split()[1])
+    points = np.array([[float(t) for t in ln.split()[:2]]
+                       for ln in lines[5:5 + npts]])
+    k = lines.index(f"POINT_DATA {npts}")
+    values = np.array([float(t) for t in lines[k + 3:k + 3 + npts]])
+    return points, values
+
+
+def test_emit_vtk_writes_the_reported_iterate(tmp_path, capsys):
+    # the finest level stops at max-iter from a warm start, so only the
+    # study's own iterate reproduces the errors in its table
+    code = run(["convergence", "--problem", "circular-convection",
+                "--levels", "1:2", "--damping", "0.5", "--max-iter", "30",
+                "--warm-start", "--emit-vtk", "--outdir", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    finest = lines_of(tmp_path / "report.csv")[-1].split(",")
+    assert finest[0] == "2" and finest[8] == "False"
+
+    problem = PROBLEMS["circular-convection"]()
+    mesh = build_level0(1)
+    for _ in range(2):
+        mesh = refine(mesh)
+    mesh = classify_and_order(mesh, problem)
+    points, u = read_vtk_field(tmp_path / "solution.vtk")
+    assert np.array_equal(points, mesh.vertices)
+    l1, l2 = error_norms(mesh, u, problem.exact)
+    assert f"{l2:.17g}" == finest[3]
+    assert f"{l1:.17g}" == finest[5]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--damping", "0"], ["--damping", "1.5"], ["--max-iter", "-1"],
+    ["--tol", "0"], ["--tol=-1e-8"], ["--tail-average", "-1"],
+    ["--max-iter", "10", "--tail-average", "11"],
+], ids=" ".join)
+def test_invalid_options_exit_one(tmp_path, capsys, flags):
+    outdir = tmp_path / "out"
+    for command in (["solve", "--level", "1"], ["convergence", "--levels", "1:2"]):
+        code = run(command + ["--problem", "equilibrium",
+                              "--outdir", str(outdir)] + flags)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()           # rejected before any work
 
 
 def test_audit_subcommand(tmp_path, capsys):

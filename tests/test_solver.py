@@ -110,6 +110,29 @@ def test_solve_rejects_bad_names_and_unclassified_mesh():
         solve(raw, prob)
 
 
+INVALID_OPTIONS = [
+    {"damping": 0.0}, {"damping": -0.5}, {"damping": 1.5},
+    {"damping": float("nan")}, {"max_iter": -1}, {"tol": 0.0},
+    {"tol": -1e-8}, {"tail_average": -1},
+    {"max_iter": 10, "tail_average": 11},
+]
+
+
+@pytest.mark.parametrize("kwargs", INVALID_OPTIONS,
+                         ids=[repr(k) for k in INVALID_OPTIONS])
+def test_invalid_options_rejected(kwargs):
+    with pytest.raises(ValueError):
+        SolveOptions(**kwargs)
+    # options changed after construction are checked again by solve
+    prob = PROBLEMS["equilibrium"]()
+    mesh = meshed(prob, level=1)
+    opts = SolveOptions()
+    for name, value in kwargs.items():
+        setattr(opts, name, value)
+    with pytest.raises(ValueError):
+        solve(mesh, prob, opts)
+
+
 def test_divergence_raises():
     prob = PROBLEMS["boundary-layers"]()
     mesh = meshed(prob, level=3)
