@@ -42,17 +42,15 @@ def write_vtk(mesh, u, path, title="cdrfem solution"):
         out.write(title + "\n")
         out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         out.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
-            out.write(f"{x:.17g} {y:.17g} 0\n")
+        out.writelines(f"{x:.17g} {y:.17g} 0\n"
+                       for x, y in mesh.vertices.tolist())
         out.write(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}\n")
-        for a, b, c in mesh.cells:
-            out.write(f"3 {a} {b} {c}\n")
+        out.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.cells.tolist())
         out.write(f"CELL_TYPES {mesh.num_cells}\n")
-        out.writelines("5\n" for _ in range(mesh.num_cells))
+        out.write("5\n" * mesh.num_cells)
         out.write(f"POINT_DATA {mesh.num_vertices}\n")
         out.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        for v in u:
-            out.write(f"{v:.17g}\n")
+        out.writelines(f"{v:.17g}\n" for v in np.asarray(u).tolist())
 
 
 def write_audit(checks, path):

@@ -9,6 +9,11 @@ constraints on the assembled diffusion operator require.
 After ``classify_and_order`` the nodes ``0 .. num_free-1`` carry unknown
 values and the Dirichlet nodes come last; all downstream solvers rely on this
 ordering.
+
+``Mesh.mirror_cells`` picks, per directed edge (i, j), the cell at ``x_i``
+used to extrapolate u_h to ``2 x_i - x_j``.  It is one linear pass over the
+(edge, incident cell) rows: constants per cell corner, then segmented minima
+per edge in (score, angle, cell) order, with ties to the smallest cell.
 """
 
 from collections import namedtuple
@@ -137,49 +142,69 @@ class Mesh:
         wedge at ``x_i`` contains the direction ``x_i - x_j``, otherwise the
         incident cell angularly closest to that direction.  Ties resolve to
         the smallest cell index.
+
+        The selection takes time linear in the number of (edge, incident
+        cell) rows.  The rays from each cell corner to the two other
+        corners, and their determinant, are computed once per corner; each
+        row gathers its corner's constants and its edge's ``x_i - x_j``.
+        Per edge, three segmented minima (``np.minimum.reduceat``) then take
+        the lowest score (containing, wedge, other), the smallest angle
+        among the rows at that score (angles are evaluated only where that
+        score is "other"), and the smallest cell index among the rows left.
         """
         return _mirror_cells(self)
 
 
 def _mirror_cells(mesh):
     x = mesh.vertices
-    ei, ej = mesh.edges.i, mesh.edges.j
+    et = mesh.edges
     cptr, cdata = mesh.node_cells
-    counts = cptr[ei + 1] - cptr[ei]
-    row_edge = np.repeat(np.arange(len(ei)), counts)
-    offs = np.arange(counts.sum()) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    row_cell = cdata[np.repeat(cptr[ei], counts) + offs]
 
-    tri = mesh.cells[row_cell]
-    at = tri == ei[row_edge][:, None]
-    # local position of i in its cell, then the two remaining corners
-    li = np.argmax(at, axis=1)
-    p = x[tri[np.arange(len(tri)), (li + 1) % 3]]
-    q = x[tri[np.arange(len(tri)), (li + 2) % 3]]
-    xi = x[ei[row_edge]]
-    w = xi - x[ej[row_edge]]
-    dp, dq = p - xi, q - xi
-
+    # corner constants, one per node_cells entry: the rays dp, dq from the
+    # node to the next two corners of the cell and their cross product
+    node = np.repeat(np.arange(mesh.num_vertices), np.diff(cptr))
+    tri = mesh.cells[cdata]
+    li = (tri[:, 1] == node) + 2 * (tri[:, 2] == node)
+    k = np.arange(len(tri))
+    dp = x[tri[k, (li + 1) % 3]] - x[node]
+    dq = x[tri[k, (li + 2) % 3]] - x[node]
     det = dp[:, 0] * dq[:, 1] - dp[:, 1] * dq[:, 0]
-    a = (w[:, 0] * dq[:, 1] - w[:, 1] * dq[:, 0]) / det
-    b = (dp[:, 0] * w[:, 1] - dp[:, 1] * w[:, 0]) / det
 
+    # one row per (directed edge, cell at x_i): the node_cells entries of
+    # x_i, so the rows of an edge are contiguous from ``start``, cells
+    # ascending
+    counts = np.diff(cptr)[et.i]
+    start = np.cumsum(counts) - counts
+    row = np.arange(counts.sum()) + np.repeat(cptr[et.i] - start, counts)
+    w = x[et.i] - x[et.j]
+    w0, w1 = np.repeat(w[:, 0], counts), np.repeat(w[:, 1], counts)
+    d = det[row]
+    a = (w0 * dq[row, 1] - w1 * dq[row, 0]) / d
+    b = (dp[row, 0] * w1 - dp[row, 1] * w0) / d
+
+    # score 0: the cell contains 2 x_i - x_j; 1: its corner wedge contains
+    # the direction x_i - x_j; 2: neither
     tol = 1e-12
     wedge = (a >= -tol) & (b >= -tol)
     contain = wedge & (a + b <= 1.0 + tol)
-    score = np.where(contain, 0, np.where(wedge, 1, 2))
+    del a, b, d
+    score = 2 - wedge.view(np.int8) - contain.view(np.int8)
+    best = score == np.repeat(np.minimum.reduceat(score, start), counts)
+
+    # angles only on the rows of edges whose best score is 2
+    far = np.flatnonzero(best & (score == 2))
+    v0, v1, r = w0[far], w1[far], row[far]
 
     def angle(d):
-        cross = np.abs(w[:, 0] * d[:, 1] - w[:, 1] * d[:, 0])
-        dot = w[:, 0] * d[:, 0] + w[:, 1] * d[:, 1]
+        cross = np.abs(v0 * d[r, 1] - v1 * d[r, 0])
+        dot = v0 * d[r, 0] + v1 * d[r, 1]
         return np.arctan2(cross, dot)
 
-    ang = np.where(score == 2, np.minimum(angle(dp), angle(dq)), 0.0)
-
-    order = np.lexsort((row_cell, ang, score, row_edge))
-    first = np.searchsorted(row_edge[order], np.arange(len(ei)))
-    return row_cell[order][first]
+    ang = np.where(best, 0.0, np.inf)
+    ang[far] = np.minimum(angle(dp), angle(dq))
+    best &= ang == np.repeat(np.minimum.reduceat(ang, start), counts)
+    cell = np.where(best, cdata[row], mesh.num_cells)
+    return np.minimum.reduceat(cell, start)
 
 
 @dataclass

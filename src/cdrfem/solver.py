@@ -22,6 +22,9 @@ from .limiter import LimiterContext, edge_state
 LIMITERS = ("galerkin", "mc", "wmc")
 VARIANTS = ("full", "simplified")
 
+# a residual norm this many times max(first norm, 1) counts as divergence
+DIVERGENCE_GROWTH = 1e8
+
 
 @dataclass
 class SolveOptions:
@@ -92,15 +95,17 @@ def _gather(ops, state, u):
     return np.add.reduceat(terms, et.indptr[:m])
 
 
-def residual(ops, state, u, weights=None):
+def residual(ops, state, u, weights=None, gather=None):
     """Row residuals of the frozen-state system over the unknown rows.
 
-    ``weights`` is ``row_weights(ops)``; a solve passes it in so the
-    constant weights are reduced once, not on every sweep.
+    ``weights`` is ``row_weights(ops)`` and ``gather`` is
+    ``_gather(ops, state, u)``; a solve passes both in, so the constant
+    weights are reduced once per solve and the gather once per sweep.
     """
     m = ops.num_free
     a = row_weights(ops) if weights is None else weights
-    return a[:m] * u[:m] - _gather(ops, state, u) - state.rhs[:m]
+    g = _gather(ops, state, u) if gather is None else gather
+    return a[:m] * u[:m] - g - state.rhs[:m]
 
 
 def row_residual(ops, state, u, i):
@@ -114,15 +119,16 @@ def row_residual(ops, state, u, i):
     return float(a * u[i] - gather - state.rhs[i])
 
 
-def fixed_point_step(ops, state, u, weights=None):
+def fixed_point_step(ops, state, u, weights=None, gather=None):
     """One undamped update of all unknowns; Dirichlet entries pass through.
 
-    ``weights`` is ``row_weights(ops)``, as in ``residual``.
+    ``weights`` and ``gather`` are as in ``residual``.
     """
     m = ops.num_free
     a = row_weights(ops) if weights is None else weights
+    g = _gather(ops, state, u) if gather is None else gather
     unew = u.copy()
-    unew[:m] = (_gather(ops, state, u) + state.rhs[:m]) / a[:m]
+    unew[:m] = (g + state.rhs[:m]) / a[:m]
     return unew
 
 
@@ -149,7 +155,9 @@ def solve(mesh, problem, options=None, ops=None):
     """Solve one problem on a classified mesh.
 
     Returns a SolveReport whose ``u`` lives in mesh ordering (unknowns
-    first).  Raises on NaN/Inf blowup; plain non-convergence inside
+    first).  Raises once the residual norm is not finite or exceeds
+    ``DIVERGENCE_GROWTH`` times the larger of its first value and 1, which
+    catches a blowup before the norm overflows; plain non-convergence inside
     ``max_iter`` is reported, not raised.  With ``tail_average`` set, a run
     that hits ``max_iter`` returns the mean over its final sweeps instead of
     the last iterate and appends that mean's residual to the history; the
@@ -180,11 +188,13 @@ def solve(mesh, problem, options=None, ops=None):
     acc, acc_n = None, 0
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = float(np.linalg.norm(residual(ops, state, u, weights)))
-        if not np.isfinite(rnorm):
+        gather = _gather(ops, state, u)
+        rnorm = float(np.linalg.norm(residual(ops, state, u, weights, gather)))
+        history.append(rnorm)
+        limit = DIVERGENCE_GROWTH * max(history[0], 1.0)
+        if not (np.isfinite(rnorm) and rnorm <= limit):
             raise RuntimeError(
                 f"fixed-point iteration diverged after {iterations} sweeps")
-        history.append(rnorm)
         if options.check_bounds and state.ubar_s_star is not None:
             free = ctx.free_row
             over = state.ubar_s_star[free] - state.bar_max[state.ei[free]]
@@ -197,7 +207,7 @@ def solve(mesh, problem, options=None, ops=None):
             break
         if iterations >= options.max_iter:
             break
-        unew = fixed_point_step(ops, state, u, weights)
+        unew = fixed_point_step(ops, state, u, weights, gather)
         u = unew if omega == 1.0 else (1.0 - omega) * u + omega * unew
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from cdrfem import (PROBLEMS, build_level0, classify_and_order, error_norms,
                     refine)
-from cdrfem.cli import CSV_HEADER, run
+from cdrfem.cli import CSV_HEADER, run, write_vtk
+from oracles import write_vtk_by_scalar
 
 
 def lines_of(path):
@@ -46,6 +49,24 @@ def test_solve_writes_report_and_field(tmp_path):
     assert len(values) == ndof and np.all(np.isfinite(values))
 
 
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_write_vtk_matches_scalar_writer(tmp_path, grid_id):
+    mesh = build_level0(grid_id)
+    for _ in range(3):
+        mesh = refine(mesh)
+    mesh = classify_and_order(mesh, PROBLEMS["boundary-layers"]())
+    rng = np.random.default_rng(grid_id)
+    u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
+        -30, 30, mesh.num_vertices)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1.0, -3.0, 2.0 ** 60, 1e22, 0.1,
+               -1.0 / 3.0]
+    u[:len(special)] = special
+    write_vtk(mesh, u, tmp_path / "new.vtk")
+    write_vtk_by_scalar(mesh, u, tmp_path / "old.vtk")
+    assert (tmp_path / "new.vtk").read_bytes() == \
+        (tmp_path / "old.vtk").read_bytes()
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["solve", "--problem", "no-such-problem"]) == 1
     assert run(["solve", "--problem", "equilibrium", "--no-such-flag"]) == 1
@@ -70,17 +91,22 @@ def test_epsilon_override_rules(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runtime_failures_exit_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")
     code = run(["solve", "--problem", "equilibrium", "--level", "1",
                 "--outdir", str(blocker / "sub")])
     assert code == 2
+    assert "error:" in capsys.readouterr().err
     # the plain central scheme blows up on this convection-dominated case
     code = run(["solve", "--problem", "boundary-layers", "--limiter",
                 "galerkin", "--level", "3", "--outdir", str(tmp_path)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    sweeps = int(re.search(r"diverged after (\d+) sweeps", err).group(1))
+    assert sweeps < 1000
 
 
 def test_convergence_report_and_determinism(tmp_path, capsys):

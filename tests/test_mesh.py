@@ -3,9 +3,10 @@ import pytest
 
 from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, build_level0, classify_and_order,
                     mirror_cell, prolong, refine, write_mesh)
-from cdrfem.benchmarks import (problem_circular_convection,
+from cdrfem.benchmarks import (PROBLEMS, problem_circular_convection,
                                problem_circular_layers,
                                problem_interior_layers)
+from oracles import lexsort_mirror_cells
 
 
 def refined(grid_id, level):
@@ -229,13 +230,26 @@ def test_mirror_interior_symmetric():
 
 
 def test_mirror_cells_match_reference():
-    for gid, lev in ((1, 2), (2, 1), (2, 2)):
-        mesh = refined(gid, lev)
+    meshes = [refined(gid, lev) for gid, lev in ((1, 2), (2, 1), (2, 2))]
+    meshes += [classify_and_order(refined(gid, 3), PROBLEMS[name]())
+               for gid in (1, 2) for name in sorted(PROBLEMS)]
+    for mesh in meshes:
         et = mesh.edges
         got = mesh.mirror_cells
         for k in range(len(et.i)):
             want = mirror_cell_reference(mesh, int(et.i[k]), int(et.j[k]))
-            assert got[k] == want, (gid, lev, int(et.i[k]), int(et.j[k]))
+            assert got[k] == want, (mesh.level, int(et.i[k]), int(et.j[k]))
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_mirror_cells_match_lexsort_oracle(grid_id):
+    base = build_level0(grid_id)
+    for level in range(6):
+        for name in sorted(PROBLEMS):
+            mesh = classify_and_order(base, PROBLEMS[name]())
+            assert np.array_equal(mesh.mirror_cells,
+                                  lexsort_mirror_cells(mesh)), (level, name)
+        base = refine(base)
 
 
 def test_mirror_cells_contain_owner():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -133,11 +135,15 @@ def test_invalid_options_rejected(kwargs):
         solve(mesh, prob, opts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises():
+    # the growth guard stops the run long before the residual norm overflows
     prob = PROBLEMS["boundary-layers"]()
     mesh = meshed(prob, level=3)
-    with pytest.raises(RuntimeError, match="diverged"):
+    with pytest.raises(RuntimeError, match="diverged") as err:
         solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=20000))
+    sweeps = int(re.search(r"after (\d+) sweeps", str(err.value)).group(1))
+    assert sweeps < 1000
 
 
 @pytest.mark.parametrize("name", ["boundary-layers", "equilibrium"])
