@@ -1,19 +1,18 @@
 """Flux-corrected P1 finite elements for steady convection-diffusion-reaction
 problems on triangulations of the unit square."""
 
-from .assembly import assemble, dump_coo, galerkin_residual, galerkin_row_residual
+from .assembly import assemble, galerkin_residual
 from .benchmarks import (PROBLEMS, ErrorRecord, ProblemSpec, convergence_study,
-                         eoc, error_norms, problem_boundary_layers,
-                         problem_circular_convection, problem_circular_layers,
-                         problem_equilibrium, problem_interior_layers)
-from .limiter import (EdgeState, LimiterContext, balancing_flux, bar_state,
-                      edge_state, fictitious_value, limit_balancing,
-                      limiting_factor, mc_limit, mc_target_flux, net_source,
-                      wb_bar_state, wb_limit, wb_target_flux, write_edge_state)
-from .mesh import (BOTTOM, LEFT, RIGHT, TOP, Mesh, MirrorPoint, build_level0,
-                   classify_and_order, mirror_cell, prolong, refine,
-                   write_mesh)
-from .solver import (AuditCheck, SolveOptions, SolveReport, audit_dmp,
-                     fixed_point_step, residual, row_residual, solve)
+                         eoc, error_norms)
+from .mesh import (BOTTOM, LEFT, RIGHT, TOP, Mesh, build_level0,
+                   classify_and_order, prolong, refine)
+from .solver import AuditCheck, SolveOptions, SolveReport, audit_dmp, solve
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "PROBLEMS", "ProblemSpec", "ErrorRecord", "convergence_study", "eoc",
+    "error_norms",
+    "BOTTOM", "RIGHT", "TOP", "LEFT", "Mesh", "build_level0", "refine",
+    "classify_and_order", "prolong",
+    "assemble", "galerkin_residual",
+    "SolveOptions", "SolveReport", "solve", "AuditCheck", "audit_dmp",
+]

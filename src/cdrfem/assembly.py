@@ -2,13 +2,13 @@
 
 The diffusion block uses exact integration; convection, reaction and the
 source functional use the three-edge-midpoint rule, which is exact for
-quadratic integrands.  All matrices are stored on one shared sparsity
-pattern, the full node adjacency including explicit zeros, so that the
-artificial diffusion keeps its positive floor on every neighbor pair.
+quadratic integrands.  The cell contributions are summed on the full node
+adjacency, and the solver keeps only what its edge form reads: the
+off-diagonal entries per directed edge and a few per-node vectors.  The
+artificial diffusion d_ij has a positive floor on every neighbor pair.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 # floor factor for the artificial diffusion, scaled by the mesh size
 DELTA = 1e-10
@@ -24,10 +24,6 @@ class Operators:
 
     Attributes
     ----------
-    diffusion, convection, reaction : csr_matrix
-        The three Galerkin blocks on the shared adjacency pattern.
-    art_diffusion : csr_matrix
-        Symmetric artificial diffusion with zero row sums.
     b : (n,) array
         Source functional; identically zero on Dirichlet rows.
     reaction_lumped : (n,) array
@@ -36,26 +32,19 @@ class Operators:
         Twice the off-diagonal row sums of the artificial diffusion,
         the weight that distributes the source over a node's edges.
     diff_e, conv_e, reac_e, d_e : arrays
-        Off-diagonal entries aligned with ``mesh.edges``.
+        Off-diagonal entries of the diffusion, convection, reaction and
+        artificial diffusion blocks, aligned with ``mesh.edges``.  The
+        diffusion and convection rows sum to zero, so their diagonals are
+        implied.
     """
 
-    def __init__(self, mesh, problem, indptr, indices, mats, b,
-                 edge_arrays, reaction_lumped, art_row):
+    def __init__(self, mesh, b, reaction_lumped, art_row, edge_arrays):
         self.mesh = mesh
         self.num_free = mesh.num_free
-        self.epsilon = problem.epsilon
-        self.h = mesh.h
-        self.indptr = indptr
-        self.indices = indices
-        self.diffusion, self.convection, self.reaction, self.art_diffusion = mats
         self.b = b
-        self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
         self.reaction_lumped = reaction_lumped
         self.art_row = art_row
-
-    @property
-    def galerkin_matrix(self):
-        return self.diffusion + self.convection + self.reaction
+        self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
 
 
 def assemble(mesh, problem):
@@ -115,28 +104,17 @@ def assemble(mesh, problem):
 
     et = mesh.edges
     edge_pos = np.searchsorted(csr_keys, et.i * n + et.j)
-    diag_pos = np.searchsorted(csr_keys, np.arange(n) * (n + 1))
 
     conv_e = conv_data[edge_pos]
     d_e = np.maximum(np.maximum(np.abs(conv_e), np.abs(conv_e[et.rev])),
                      DELTA * mesh.h)
-    d_rowsum = np.add.reduceat(d_e, et.indptr[:-1])
-    art_data = np.zeros(len(indices))
-    art_data[edge_pos] = d_e
-    art_data[diag_pos] = -d_rowsum
-    art_row = 2.0 * d_rowsum
+    art_row = 2.0 * np.add.reduceat(d_e, et.indptr[:-1])
     if np.any(art_row <= 0.0):
         raise ValueError("artificial diffusion row weight must be positive")
 
-    def as_csr(data):
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-
-    mats = (as_csr(diff_data), as_csr(conv_data), as_csr(reac_data),
-            as_csr(art_data))
     reaction_lumped = np.add.reduceat(reac_data, indptr[:-1])
     edge_arrays = (diff_data[edge_pos], conv_e, reac_data[edge_pos], d_e)
-    return Operators(mesh, problem, indptr, indices, mats, b,
-                     edge_arrays, reaction_lumped, art_row)
+    return Operators(mesh, b, reaction_lumped, art_row, edge_arrays)
 
 
 def galerkin_residual(ops, u):
@@ -162,10 +140,3 @@ def galerkin_row_residual(ops, u, i):
     return float(ops.reaction_lumped[i] * u[i]
                  + np.sum(coef * (u[et.j[lo:hi]] - u[i])) - ops.b[i])
 
-
-def dump_coo(matrix, path):
-    """Write a sparse matrix as text lines ``i j value`` (0-based)."""
-    coo = matrix.tocoo()
-    with open(path, "w") as out:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            out.write(f"{i} {j} {v:.17g}\n")

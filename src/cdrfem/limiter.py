@@ -12,10 +12,13 @@ Division by the artificial diffusion is safe everywhere (it has a positive
 floor), and the limited fluxes are assembled from products of the form
 2*d_ij*(...) exactly as written, so antisymmetry holds to the last bit.
 
-The scalar helpers above ``EdgeState`` state each step as defined.
-``edge_state`` evaluates the same arithmetic for all edges at once; where it
-regroups a step, the regrouping is exact (a negation, or a factor that is
-symmetric in i and j), so its fluxes agree with the helpers bit for bit.
+The helpers above ``EdgeState`` state the steps of the plain limiter as
+defined; ``tests/oracles.py`` states those of the balanced limiter the same
+way (``limit_balancing``, ``wb_bar_state``, ``wb_target_flux``,
+``wb_limit``).  ``edge_state`` evaluates the same arithmetic for all edges
+at once; where it regroups a step, the regrouping is exact (a negation, or
+a factor that is symmetric in i and j), so its fluxes agree with the
+helpers bit for bit.
 Its one pass over the edges relies on these invariants:
 
 * Unknowns come first and edges are sorted by their row, so the rows of
@@ -41,8 +44,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import mirror_cell
-
 
 def bar_state(u_i, u_j, conv_ij, d_ij):
     """Low-order edge average shifted against the convective difference."""
@@ -64,57 +65,6 @@ def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
     return np.where(f > 0.0, pos, np.where(f < 0.0, neg, 0.0))
 
 
-def net_source(problem, x, y, u):
-    """Nodal net production f(x) - c(x) u."""
-    return problem.source(x, y) - problem.reaction(x, y) * u
-
-
-def balancing_flux(s_i, s_j, x_i, x_j, v_i, v_j):
-    """Edge share of the net source, aligned with the velocity average.
-
-    The last axis of ``x_i``, ``x_j``, ``v_i``, ``v_j`` holds the two space
-    components.  Fails when the velocity vanishes at both endpoints.
-    """
-    x_i, x_j = np.asarray(x_i, dtype=float), np.asarray(x_j, dtype=float)
-    v_i, v_j = np.asarray(v_i, dtype=float), np.asarray(v_j, dtype=float)
-    m2 = np.maximum((v_i ** 2).sum(axis=-1), (v_j ** 2).sum(axis=-1))
-    if np.any(m2 <= 0.0):
-        raise ValueError("velocity vanishes at both edge endpoints; "
-                         "balancing flux undefined")
-    proj = ((x_i - x_j) * (v_i + v_j)).sum(axis=-1)
-    return 0.5 * (0.5 * (s_i + s_j)) * proj / (2.0 * m2)
-
-
-def fictitious_value(mesh, u, i, j):
-    """u_h extended to the reflected point 2*x_i - x_j via the mirror cell."""
-    mp = mirror_cell(mesh, i, j)
-    tri = mesh.cells[mp.cell]
-    dx = mesh.vertices[i] - mesh.vertices[j]
-    return float(u[i] + u[tri] @ (mesh.cell_grads[mp.cell] @ dx))
-
-
-def _r_abs_p(P, Qp, Qm, b, free):
-    # one-sided limited magnitude R|P| without forming the ratio R
-    sgn = np.sign(P)
-    case_neg = (b < 0.0) | ((b == 0.0) & (P >= 0.0))
-    rp = np.where(case_neg, sgn * np.minimum(P, Qp), sgn * np.maximum(P, Qm))
-    return np.where(free, rp, np.abs(P))
-
-
-def limit_balancing(P_ij, P_ji, Qp_ij, Qm_ij, Qp_ji, Qm_ji, b_i, b_j,
-                    i_free=True, j_free=True):
-    """Symmetrized limited balancing flux alpha_ij * P_ij.
-
-    Combines the one-sided limited magnitudes of both orientations; rows of
-    Dirichlet nodes pass their side through unlimited.  The Q bounds encode
-    the variant: with the fictitious-value term for the full limiter,
-    without it for the simplified one.
-    """
-    rp_i = _r_abs_p(P_ij, Qp_ij, Qm_ij, b_i, i_free)
-    rp_j = _r_abs_p(P_ji, Qp_ji, Qm_ji, b_j, j_free)
-    return np.sign(P_ij) * np.minimum(rp_i, rp_j)
-
-
 def limiting_factor(P, Qp, Qm, b, free):
     """Correction factor R in [0, 1]; the flux route never divides by P."""
     P = np.asarray(P, dtype=float)
@@ -125,35 +75,6 @@ def limiting_factor(P, Qp, Qm, b, free):
     r = np.where(case_hi, Qp / np.where(case_hi, P, 1.0), one)
     r = np.where(case_lo, Qm / np.where(case_lo, P, 1.0), r)
     return np.clip(r, 0.0, 1.0)
-
-
-def wb_bar_state(ubar, alphaP, b_i, art_row_i):
-    """Bar state shifted by the limited balancing flux and the source share."""
-    return ubar + alphaP + b_i / art_row_i
-
-
-def wb_target_flux(u_i, u_j, d_ij, reac_ij, alphaP):
-    """Antidiffusive flux of the balanced scheme."""
-    return 2.0 * d_ij * (0.5 * (u_i - u_j) - alphaP) + reac_ij * (u_i - u_j)
-
-
-def wb_limit(fs, d_ij, ubar_s_ij, ubar_s_ji, bmin_i, bmax_i, bmin_j, bmax_j,
-             j_dirichlet):
-    """Clip the balanced flux against the shifted bar-state bounds.
-
-    Edges into Dirichlet nodes have no opposite-side bar state, so only the
-    owner-side constraint applies there.
-    """
-    two_d = 2.0 * d_ij
-    hi_own = two_d * (bmax_i - ubar_s_ij)
-    lo_own = two_d * (bmin_i - ubar_s_ij)
-    hi_opp = two_d * (ubar_s_ji - bmin_j)
-    lo_opp = two_d * (ubar_s_ji - bmax_j)
-    pos = np.where(j_dirichlet, np.minimum(fs, hi_own),
-                   np.minimum(fs, np.minimum(hi_own, hi_opp)))
-    neg = np.where(j_dirichlet, np.maximum(fs, lo_own),
-                   np.maximum(fs, np.maximum(lo_own, lo_opp)))
-    return np.where(fs > 0.0, pos, np.where(fs < 0.0, neg, 0.0))
 
 
 @dataclass
@@ -177,12 +98,10 @@ class EdgeState:
     variant: Optional[str] = None
     ftarget: Optional[np.ndarray] = None
     fstar: Optional[np.ndarray] = None
-    ubar_star: Optional[np.ndarray] = None
     umin: Optional[np.ndarray] = None          # per node
     umax: Optional[np.ndarray] = None          # per node
     s: Optional[np.ndarray] = None             # per node
     P: Optional[np.ndarray] = None
-    fict_incr: Optional[np.ndarray] = None
     Qp: Optional[np.ndarray] = None
     Qm: Optional[np.ndarray] = None
     alphaP: Optional[np.ndarray] = None
@@ -314,9 +233,7 @@ def _mc_state(ctx, u, limiter, limit_fluxes):
     else:
         fstar = f
     return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
-                     ftarget=f, fstar=fstar,
-                     ubar_star=ubar + fstar / (2.0 * d),
-                     umin=umin, umax=umax,
+                     ftarget=f, fstar=fstar, umin=umin, umax=umax,
                      wflux=2.0 * d * ubar + fstar, rhs=ops.b)
 
 
@@ -422,21 +339,9 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     wflux = two_d * ubar_s
     wflux += fs_star
     return EdgeState(limiter=limiter, variant=variant, ei=et.i, ej=et.j,
-                     ubar=ubar, s=s, P=P, fict_incr=fict, Qp=Qp, Qm=Qm,
+                     ubar=ubar, s=s, P=P, Qp=Qp, Qm=Qm,
                      alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
                      bar_min=bar_min, bar_max=bar_max, wflux=wflux,
                      rhs=np.zeros(len(u)), alpha_override=alpha_override,
                      ctx=ctx)
 
-
-def write_edge_state(state, path):
-    """Debug CSV of the balanced limiter, one line per undirected edge."""
-    if state.P is None:
-        raise ValueError("edge-state dump requires the balanced limiter")
-    keep = state.ei < state.ej
-    with open(path, "w") as out:
-        out.write("i,j,ubar,P,alphaP,fs,fs_star\n")
-        for k in np.flatnonzero(keep):
-            out.write(f"{state.ei[k]},{state.ej[k]},{state.ubar[k]:.17g},"
-                      f"{state.P[k]:.17g},{state.alphaP[k]:.17g},"
-                      f"{state.fs[k]:.17g},{state.fs_star[k]:.17g}\n")

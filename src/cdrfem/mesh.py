@@ -17,7 +17,6 @@ per edge in (score, angle, cell) order, with ties to the smallest cell.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -207,15 +206,6 @@ def _mirror_cells(mesh):
     return np.minimum.reduceat(cell, start)
 
 
-@dataclass
-class MirrorPoint:
-    """Reflected point 2*x_i - x_j with the cell whose gradient extends u_h."""
-    i: int
-    j: int
-    point: np.ndarray
-    cell: int
-
-
 def build_level0(grid_id):
     """Coarse triangulation of the unit square.
 
@@ -238,6 +228,19 @@ def build_level0(grid_id):
     return Mesh(vertices, cells, boundary, tags, level=0)
 
 
+def _edge_keys(mesh):
+    """Sorted unique keys i * n + j (i < j) of the undirected cell edges,
+    and the position of each cell edge 01, 12, 20 among them, cell by cell.
+
+    Key k is the k-th midpoint that ``refine`` appends.
+    """
+    n = mesh.num_vertices
+    c = mesh.cells
+    pairs = np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=1)
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+    return np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+
+
 def refine(mesh):
     """Red refinement: each triangle splits into four similar children.
 
@@ -247,10 +250,7 @@ def refine(mesh):
     """
     n = mesh.num_vertices
     c = mesh.cells
-    pairs = np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=1)
-    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    ukeys, inv = np.unique(keys, return_inverse=True)
+    ukeys, inv = _edge_keys(mesh)
     mid = n + inv.reshape(-1, 3)  # midpoint vertex ids per cell edge 01,12,20
 
     mv = 0.5 * (mesh.vertices[ukeys // n] + mesh.vertices[ukeys % n])
@@ -287,10 +287,7 @@ def prolong(mesh, u):
     if u.shape != (mesh.num_vertices,):
         raise ValueError(f"expected {mesh.num_vertices} nodal values")
     n = mesh.num_vertices
-    c = mesh.cells
-    pairs = np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=1)
-    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-    ukeys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    ukeys, _ = _edge_keys(mesh)
     return np.concatenate([u, 0.5 * (u[ukeys // n] + u[ukeys % n])])
 
 
@@ -330,26 +327,3 @@ def classify_and_order(mesh, problem):
                 num_free=int(free.sum()),
                 node_permutation=mesh.node_permutation[order])
 
-
-def mirror_cell(mesh, i, j):
-    """MirrorPoint for the directed edge (i, j); j must neighbor i."""
-    et = mesh.edges
-    pos = np.searchsorted(et.i * mesh.num_vertices + et.j,
-                          i * mesh.num_vertices + j)
-    if pos >= len(et.i) or et.i[pos] != i or et.j[pos] != j:
-        raise ValueError(f"({i}, {j}) is not a directed mesh edge")
-    point = 2.0 * mesh.vertices[i] - mesh.vertices[j]
-    return MirrorPoint(i=int(i), j=int(j), point=point,
-                       cell=int(mesh.mirror_cells[pos]))
-
-
-def write_mesh(mesh, path):
-    """Plain-text dump: counts, vertex lines, cell lines, boundary edges."""
-    with open(path, "w") as out:
-        out.write(f"{mesh.num_vertices} {mesh.num_cells}\n")
-        for xy in mesh.vertices:
-            out.write(f"{xy[0]:.17g} {xy[1]:.17g}\n")
-        for tri in mesh.cells:
-            out.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
-        for (a, b), t in zip(mesh.boundary_edges, mesh.boundary_tags):
-            out.write(f"{a} {b} {t}\n")

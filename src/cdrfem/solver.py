@@ -61,6 +61,11 @@ class SolveOptions:
         if not 0 <= self.tail_average <= self.max_iter:
             raise ValueError(f"tail_average must lie in [0, max_iter], got "
                              f"{self.tail_average}")
+        guess = self.initial_guess
+        if not (isinstance(guess, np.ndarray)
+                or (isinstance(guess, str) and guess == "zero")):
+            raise ValueError(f"initial_guess must be 'zero' or an array, "
+                             f"got {guess!r}")
 
 
 @dataclass
@@ -108,17 +113,6 @@ def residual(ops, state, u, weights=None, gather=None):
     return a[:m] * u[:m] - g - state.rhs[:m]
 
 
-def row_residual(ops, state, u, i):
-    """Single-row residual a_i u_i - sum_j (2 d_ij ubar*_ij - a_ij^D u_j) - rhs_i."""
-    if not 0 <= i < ops.num_free:
-        raise ValueError(f"row {i} is not an unknown row")
-    et = ops.mesh.edges
-    lo, hi = et.indptr[i], et.indptr[i + 1]
-    a = (ops.reaction_lumped[i] + ops.art_row[i] - np.sum(ops.diff_e[lo:hi]))
-    gather = np.sum(state.wflux[lo:hi] - ops.diff_e[lo:hi] * u[et.j[lo:hi]])
-    return float(a * u[i] - gather - state.rhs[i])
-
-
 def fixed_point_step(ops, state, u, weights=None, gather=None):
     """One undamped update of all unknowns; Dirichlet entries pass through.
 
@@ -133,21 +127,15 @@ def fixed_point_step(ops, state, u, weights=None, gather=None):
 
 
 def _initial_iterate(mesh, problem, guess):
-    n = mesh.num_vertices
+    """The guess ("zero" or an array of nodal values) with the Dirichlet
+    values pinned."""
     m = mesh.num_free
     xd = mesh.vertices[m:]
-    ud = np.asarray(problem.dirichlet(xd[:, 0], xd[:, 1]), dtype=float)
-    if isinstance(guess, np.ndarray):
-        if guess.shape != (n,):
-            raise ValueError(f"initial guess must have shape ({n},)")
-        u = guess.astype(float).copy()
-    elif guess == "zero":
-        u = np.zeros(n)
-    elif guess == "dirichlet-extension":
-        u = np.full(n, ud.mean() if len(ud) else 0.0)
+    if isinstance(guess, str):
+        u = np.zeros(mesh.num_vertices)
     else:
-        raise ValueError(f"unknown initial guess {guess!r}")
-    u[m:] = ud
+        u = guess.astype(float)
+    u[m:] = np.asarray(problem.dirichlet(xd[:, 0], xd[:, 1]), dtype=float)
     return u
 
 
@@ -168,6 +156,10 @@ def solve(mesh, problem, options=None, ops=None):
     options.validate()
     if mesh.num_free is None:
         raise ValueError("mesh must be classified before solving")
+    n = mesh.num_vertices
+    guess = options.initial_guess
+    if isinstance(guess, np.ndarray) and guess.shape != (n,):
+        raise ValueError(f"initial guess must have shape ({n},)")
     if ops is None:
         ops = assemble(mesh, problem)
     weights = row_weights(ops)
@@ -176,7 +168,7 @@ def solve(mesh, problem, options=None, ops=None):
                          "assumptions violated")
 
     ctx = LimiterContext(mesh, ops, problem)
-    u = _initial_iterate(mesh, problem, options.initial_guess)
+    u = _initial_iterate(mesh, problem, guess)
     omega = float(options.damping)
     tail = options.tail_average
 

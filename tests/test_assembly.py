@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdrfem import (Mesh, ProblemSpec, assemble, build_level0,
-                    classify_and_order, dump_coo, galerkin_residual,
-                    galerkin_row_residual, refine)
-from cdrfem.assembly import DELTA
+                    classify_and_order, galerkin_residual, refine)
+from cdrfem.assembly import DELTA, galerkin_row_residual
+from oracles import dense_operators
 
 
 def make_problem(epsilon=1.0, velocity=(0.0, 0.0), reaction=0.0, source=0.0):
@@ -33,93 +33,58 @@ def unit_triangle(num_free=0):
                 [(0, 1), (1, 2), (2, 0)], [0, 1, 3], num_free=num_free)
 
 
-def hat_gradients(p):
-    # coefficients of 1, x, y for each hat function via a Vandermonde solve
-    V = np.column_stack([np.ones(3), p[:, 0], p[:, 1]])
-    coef = np.linalg.solve(V, np.eye(3))
-    return coef[1:].T                                    # (3, 2)
-
-
-def dense_operators(mesh, problem):
-    """Independent dense assembly with per-cell python loops."""
-    n = mesh.num_vertices
-    D = np.zeros((n, n))
-    C = np.zeros((n, n))
-    R = np.zeros((n, n))
-    b = np.zeros(n)
-    phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    for tri in mesh.cells:
-        p = mesh.vertices[tri]
-        d1, d2 = p[1] - p[0], p[2] - p[0]
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        g = hat_gradients(p)
-        mids = 0.5 * (p + np.roll(p, -1, axis=0))
-        for a in range(3):
-            for c in range(3):
-                D[tri[a], tri[c]] += problem.epsilon * area * (g[a] @ g[c])
-        for q in range(3):
-            w = area / 3.0
-            vx, vy = problem.velocity(mids[q, 0], mids[q, 1])
-            cq = problem.reaction(mids[q, 0], mids[q, 1])
-            fq = problem.source(mids[q, 0], mids[q, 1])
-            for a in range(3):
-                b[tri[a]] += w * fq * phi[q, a]
-                for c in range(3):
-                    C[tri[a], tri[c]] += w * phi[q, a] * (
-                        float(vx) * g[c, 0] + float(vy) * g[c, 1])
-                    R[tri[a], tri[c]] += w * cq * phi[q, a] * phi[q, c]
-    b[mesh.num_free:] = 0.0
-    return D, C, R, b
+def at_edges(mesh, dense):
+    """Off-diagonal entries of a dense matrix in directed edge order."""
+    return dense[mesh.edges.i, mesh.edges.j]
 
 
 def test_unit_triangle_diffusion():
     ops = assemble(unit_triangle(), make_problem(epsilon=1.0))
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
-    assert np.array_equal(ops.diffusion.toarray(), want)
+    assert np.array_equal(ops.diff_e, at_edges(ops.mesh, want))
 
 
 def test_unit_triangle_mass():
     ops = assemble(unit_triangle(), make_problem(reaction=2.0))
     area = 0.5
     want = 2.0 * (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    assert np.allclose(ops.reaction.toarray(), want, atol=1e-15)
+    assert np.allclose(ops.reac_e, at_edges(ops.mesh, want), atol=1e-15)
+    assert np.allclose(ops.reaction_lumped, want.sum(axis=1), atol=1e-15)
 
 
 def test_unit_triangle_convection():
     ops = assemble(unit_triangle(), make_problem(velocity=(1.0, 0.0)))
     gx = np.array([-1.0, 1.0, 0.0])
     want = np.tile(gx / 6.0, (3, 1))
-    assert np.allclose(ops.convection.toarray(), want, atol=1e-15)
+    assert np.allclose(ops.conv_e, at_edges(ops.mesh, want), atol=1e-15)
 
 
 def test_row_sums():
     prob = make_problem(epsilon=0.5, velocity=(2.0, 3.0), reaction=1.0)
-    ops = assemble(classified(2, 2, prob), prob)
-    ones = np.ones(ops.mesh.num_vertices)
-    assert np.max(np.abs(ops.diffusion @ ones)) < 1e-13
-    assert np.max(np.abs(ops.convection @ ones)) < 1e-13
-    # diagonal holds the negated off-diagonal sum; resumming in CSR order
-    # only cancels to roundoff
-    assert np.max(np.abs(ops.art_diffusion @ ones)) < 1e-14
+    mesh = classified(2, 2, prob)
+    ops = assemble(mesh, prob)
+    D, C, R, _ = dense_operators(mesh, prob)
+    # the edge form drops the diagonals of D and C, which holds because
+    # their rows sum to zero
+    assert np.max(np.abs(D.sum(axis=1))) < 1e-13
+    assert np.max(np.abs(C.sum(axis=1))) < 1e-13
     # reaction row sums integrate c against each hat function
-    want = ops.reaction @ ones
-    assert np.allclose(ops.reaction_lumped, want, atol=1e-15)
+    assert np.allclose(ops.reaction_lumped, R.sum(axis=1), atol=1e-15)
     assert np.all(ops.reaction_lumped >= 0.0)
 
 
 def test_symmetry():
     prob = make_problem(epsilon=1e-2, velocity=(1.0, -2.0), reaction=3.0)
     ops = assemble(classified(1, 2, prob), prob)
-    for mat in (ops.diffusion, ops.reaction, ops.art_diffusion):
-        dense = mat.toarray()
-        assert np.array_equal(dense, dense.T)
+    rev = ops.mesh.edges.rev
+    for values in (ops.diff_e, ops.reac_e, ops.d_e):
+        assert np.array_equal(values, values[rev])
 
 
 def test_offdiagonal_signs():
     prob = make_problem(epsilon=1.0, velocity=(1.0, 0.0))
     ops = assemble(classified(2, 2, prob), prob)
-    offdiag = ~np.eye(ops.mesh.num_vertices, dtype=bool)
-    assert np.all(ops.diffusion.toarray()[offdiag] <= 1e-14)
+    assert np.all(ops.diff_e <= 1e-14)
 
 
 def test_artificial_diffusion_definition():
@@ -150,13 +115,14 @@ def test_dense_oracle_agreement():
     mesh = classified(2, 1, prob)
     ops = assemble(mesh, prob)
     D, C, R, b = dense_operators(mesh, prob)
-    assert np.allclose(ops.diffusion.toarray(), D, atol=1e-14)
-    assert np.allclose(ops.convection.toarray(), C, atol=1e-14)
-    assert np.allclose(ops.reaction.toarray(), R, atol=1e-14)
+    assert np.allclose(ops.diff_e, at_edges(mesh, D), atol=1e-14)
+    assert np.allclose(ops.conv_e, at_edges(mesh, C), atol=1e-14)
+    assert np.allclose(ops.reac_e, at_edges(mesh, R), atol=1e-14)
+    assert np.allclose(ops.reaction_lumped, R.sum(axis=1), atol=1e-14)
     assert np.allclose(ops.b, b, atol=1e-14)
-    full = D + C + R
-    gal = ops.galerkin_matrix.toarray()
-    assert np.allclose(gal, full, atol=1e-14)
+    u = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+    want = ((D + C + R) @ u - b)[:mesh.num_free]
+    assert np.allclose(galerkin_residual(ops, u), want, atol=1e-14)
 
 
 def test_row_residual_matches_dense():
@@ -164,18 +130,9 @@ def test_row_residual_matches_dense():
                         source=1.0)
     mesh = classified(2, 1, prob)
     ops = assemble(mesh, prob)
-    A = ops.galerkin_matrix.toarray()
+    D, C, R, _ = dense_operators(mesh, prob)
+    A = D + C + R
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        u = rng.standard_normal(mesh.num_vertices)
-        want = A[:mesh.num_free] @ u - ops.b[:mesh.num_free]
-        got = galerkin_residual(ops, u)
-        assert np.allclose(got, want, atol=1e-13)
-        for i in range(mesh.num_free):
-            assert galerkin_row_residual(ops, u, i) == pytest.approx(
-                want[i], abs=1e-13)
-
-
 def test_row_residual_constant_state():
     prob = make_problem(epsilon=1.0, velocity=(1.0, 1.0))
     mesh = classified(1, 2, prob)
@@ -222,15 +179,3 @@ def test_unclassified_mesh_rejected():
     with pytest.raises(ValueError):
         assemble(build_level0(1), make_problem())
 
-
-def test_dump_coo(tmp_path):
-    prob = make_problem(epsilon=1.0)
-    ops = assemble(classified(1, 1, prob), prob)
-    path = tmp_path / "diff.txt"
-    dump_coo(ops.diffusion, path)
-    n = ops.mesh.num_vertices
-    dense = np.zeros((n, n))
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, ops.diffusion.toarray(), atol=0.0)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cdrfem import (PROBLEMS, ProblemSpec, assemble, balancing_flux, bar_state,
-                    build_level0, classify_and_order, fictitious_value,
-                    galerkin_residual, limit_balancing, limiting_factor,
-                    mc_limit, mc_target_flux, mirror_cell, net_source, refine,
-                    wb_bar_state, wb_limit, wb_target_flux, write_edge_state)
-from cdrfem.limiter import LimiterContext, _r_abs_p, edge_state
+from cdrfem import (PROBLEMS, ProblemSpec, assemble, build_level0,
+                    classify_and_order, galerkin_residual, refine)
+from cdrfem.limiter import (LimiterContext, bar_state, edge_state,
+                            limiting_factor, mc_limit, mc_target_flux)
 from cdrfem.solver import residual
+from oracles import (_r_abs_p, balancing_flux, fictitious_value,
+                     limit_balancing, mirror_cell, net_source, wb_bar_state,
+                     wb_limit, wb_target_flux)
 
 
 def setup_case(problem, grid_id=2, level=2):
@@ -110,11 +111,11 @@ def test_fictitious_value_barycentric_oracle():
     hits = 0
     for k in range(len(et.i)):
         i, j = int(et.i[k]), int(et.j[k])
-        mp = mirror_cell(mesh, i, j)
-        tri = mesh.cells[mp.cell]
+        tri = mesh.cells[mirror_cell(mesh, i, j)]
         p = mesh.vertices[tri]
         T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        lam12 = np.linalg.solve(T, mp.point - p[0])
+        point = 2.0 * mesh.vertices[i] - mesh.vertices[j]
+        lam12 = np.linalg.solve(T, point - p[0])
         lam = np.array([1.0 - lam12.sum(), *lam12])
         if np.all(lam >= -1e-12):      # mirror point inside the owner cell
             hits += 1
@@ -406,20 +407,32 @@ def test_degenerate_velocity_rejected():
         edge_state(ctx, np.zeros(mesh.num_vertices))
 
 
-def test_write_edge_state(tmp_path):
-    prob = PROBLEMS["equilibrium"]()
-    mesh, ops, ctx = setup_case(prob, level=1)
-    rng = np.random.default_rng(53)
-    u = random_iterate(mesh, prob, rng)
-    st = edge_state(ctx, u)
-    path = tmp_path / "edges.csv"
-    write_edge_state(st, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,ubar,P,alphaP,fs,fs_star"
-    assert len(lines) == 1 + np.sum(st.ei < st.ej)
-    i, j, *vals = lines[1].split(",")
-    assert int(i) < int(j)
-    assert all(np.isfinite(float(v)) for v in vals)
-    gal = edge_state(ctx, u, limiter="galerkin")
-    with pytest.raises(ValueError):
-        write_edge_state(gal, tmp_path / "bad.csv")
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_balancing_flux_oracle(name, grid_id):
+    # the sweep's P is the balancing flux of the nodal net source
+    prob = PROBLEMS[name]()
+    mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
+    et = mesh.edges
+    u = random_iterate(mesh, prob, np.random.default_rng(59))
+    x = mesh.vertices
+    v = np.column_stack(np.broadcast_arrays(*prob.velocity(x[:, 0], x[:, 1])))
+    s = net_source(prob, x[:, 0], x[:, 1], u)
+    want = balancing_flux(s[et.i], s[et.j], x[et.i], x[et.j], v[et.i], v[et.j])
+    got = edge_state(ctx, u).P
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_grad_incr_oracle(name, grid_id):
+    # grad_incr maps u to the fictitious value minus u_i on every edge
+    prob = PROBLEMS[name]()
+    mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
+    et = mesh.edges
+    u = random_iterate(mesh, prob, np.random.default_rng(61))
+    want = np.array([fictitious_value(mesh, u, i, j) - u[i]
+                     for i, j in zip(et.i.tolist(), et.j.tolist())])
+    got = ctx.grad_incr @ u
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(u).max())

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, build_level0, classify_and_order,
-                    mirror_cell, prolong, refine, write_mesh)
+                    prolong, refine)
 from cdrfem.benchmarks import (PROBLEMS, problem_circular_convection,
                                problem_circular_layers,
                                problem_interior_layers)
-from oracles import lexsort_mirror_cells
+from oracles import lexsort_mirror_cells, mirror_cell
 
 
 def refined(grid_id, level):
@@ -218,13 +218,13 @@ def test_mirror_interior_symmetric():
     x = mesh.vertices
     i = int(np.flatnonzero(np.all(np.isclose(x, [0.5, 0.5]), axis=1))[0])
     j = int(np.flatnonzero(np.all(np.isclose(x, [0.75, 0.5]), axis=1))[0])
-    mp = mirror_cell(mesh, i, j)
-    assert np.allclose(mp.point, [0.25, 0.5])
-    tri = mesh.cells[mp.cell]
+    point = 2.0 * x[i] - x[j]
+    assert np.allclose(point, [0.25, 0.5])
+    tri = mesh.cells[mirror_cell(mesh, i, j)]
     assert i in tri
     p = x[tri]
     T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    lam12 = np.linalg.solve(T, mp.point - p[0])
+    lam12 = np.linalg.solve(T, point - p[0])
     lam = np.array([1.0 - lam12.sum(), *lam12])
     assert np.all(lam >= -1e-12)
 
@@ -278,26 +278,6 @@ def test_edge_table_structure():
     assert np.array_equal(et.rev[et.rev], np.arange(len(et.i)))
     counts = np.diff(et.indptr)
     assert np.array_equal(np.repeat(np.arange(mesh.num_vertices), counts), et.i)
-
-
-def test_write_mesh_format(tmp_path):
-    mesh = refined(1, 1)
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    nv, nc = map(int, lines[0].split())
-    assert (nv, nc) == (mesh.num_vertices, mesh.num_cells)
-    nb = len(mesh.boundary_edges)
-    assert len(lines) == 1 + nv + nc + nb
-    verts = np.array([[float(t) for t in ln.split()] for ln in lines[1:1 + nv]])
-    assert np.array_equal(verts, mesh.vertices)
-    cells = np.array([[int(t) for t in ln.split()]
-                      for ln in lines[1 + nv:1 + nv + nc]])
-    assert np.array_equal(cells, mesh.cells)
-    for ln in lines[1 + nv + nc:]:
-        a, b, t = map(int, ln.split())
-        assert 0 <= a < nv and 0 <= b < nv
-        assert t in (BOTTOM, RIGHT, TOP, LEFT)
 
 
 def test_prolong_preserves_linear_functions():

@@ -2,13 +2,16 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+import cdrfem.solver
 from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
                     build_level0, classify_and_order, refine, solve)
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import (_initial_iterate, fixed_point_step, residual,
-                           row_residual, row_weights)
+                           row_weights)
+from oracles import dense_operators, row_residual
 
 
 def const(val):
@@ -39,9 +42,10 @@ def test_galerkin_matches_sparse_direct():
                 ops=ops)
     assert rep.converged
     m = mesh.num_free
-    A = ops.galerkin_matrix.tocsr()
-    rhs = ops.b[:m] - A[:m, m:] @ rep.u[m:]
-    u_direct = spsolve(A[:m, :m].tocsc(), rhs)
+    D, C, R, b = dense_operators(mesh, prob)
+    A = D + C + R
+    rhs = b[:m] - A[:m, m:] @ rep.u[m:]
+    u_direct = spsolve(sp.csc_matrix(A[:m, :m]), rhs)
     assert np.allclose(rep.u[:m], u_direct, atol=1e-10)
 
 
@@ -85,19 +89,23 @@ def test_initial_iterate_variants():
     u0 = _initial_iterate(mesh, prob, "zero")
     assert np.all(u0[:m] == 0.0) and np.allclose(u0[m:], ud)
 
-    ue = _initial_iterate(mesh, prob, "dirichlet-extension")
-    assert np.all(ue[:m] == ud.mean()) and np.allclose(ue[m:], ud)
-
     arr = np.linspace(0.0, 1.0, n)
     ua = _initial_iterate(mesh, prob, arr)
     assert np.array_equal(ua[:m], arr[:m])
     assert np.allclose(ua[m:], ud)       # Dirichlet rows are always pinned
     assert ua is not arr
 
-    with pytest.raises(ValueError):
-        _initial_iterate(mesh, prob, np.zeros(3))
-    with pytest.raises(ValueError):
-        _initial_iterate(mesh, prob, "random")
+
+def test_wrong_length_guess_rejected_before_assembly(monkeypatch):
+    prob = PROBLEMS["interior-layers"]()
+    mesh = meshed(prob, level=2)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assemble called before the guess was checked")
+
+    monkeypatch.setattr(cdrfem.solver, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="shape"):
+        solve(mesh, prob, SolveOptions(initial_guess=np.zeros(3)))
 
 
 def test_solve_rejects_bad_names_and_unclassified_mesh():
@@ -117,6 +125,7 @@ INVALID_OPTIONS = [
     {"damping": float("nan")}, {"max_iter": -1}, {"tol": 0.0},
     {"tol": -1e-8}, {"tail_average": -1},
     {"max_iter": 10, "tail_average": 11},
+    {"initial_guess": "random"}, {"initial_guess": "dirichlet-extension"},
 ]
 
 

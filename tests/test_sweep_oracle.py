@@ -1,8 +1,9 @@
 """The limiter sweep against the composition of the reference helpers.
 
 ``edge_state`` evaluates the limiters in one lean pass; these tests rebuild
-every flux from the public per-edge helpers, written as the limiters are
-defined, and require the same bits.
+every flux from the per-edge helpers of ``cdrfem.limiter`` and
+``oracles``, written as the limiters are defined, and require the same
+bits.
 """
 
 from dataclasses import replace
@@ -10,11 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdrfem import (PROBLEMS, assemble, bar_state, build_level0,
-                    classify_and_order, limit_balancing, limiting_factor,
-                    mc_limit, mc_target_flux, refine, wb_bar_state, wb_limit,
-                    wb_target_flux)
-from cdrfem.limiter import LimiterContext, edge_state
+from cdrfem import PROBLEMS, assemble, build_level0, classify_and_order, refine
+from cdrfem.limiter import (LimiterContext, bar_state, edge_state,
+                            limiting_factor, mc_limit, mc_target_flux)
+from oracles import limit_balancing, wb_bar_state, wb_limit, wb_target_flux
 
 
 def interior_sink():
