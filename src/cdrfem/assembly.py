@@ -2,10 +2,11 @@
 
 The diffusion block uses exact integration; convection, reaction and the
 source functional use the three-edge-midpoint rule, which is exact for
-quadratic integrands.  The cell contributions are summed on the full node
-adjacency, and the solver keeps only what its edge form reads: the
-off-diagonal entries per directed edge and a few per-node vectors.  The
-artificial diffusion d_ij has a positive floor on every neighbor pair.
+quadratic integrands.  The off-diagonal cell contributions are summed
+straight onto the directed edges through ``mesh.edges.cell_edges``, in
+(cell, a, b) order; the solver reads them per edge, plus a few per-node
+vectors.  The artificial diffusion d_ij has a positive floor on every
+neighbor pair.
 """
 
 import numpy as np
@@ -31,6 +32,9 @@ class Operators:
     art_row : (n,) array
         Twice the off-diagonal row sums of the artificial diffusion,
         the weight that distributes the source over a node's edges.
+    row_weight : (n,) array
+        Diagonal weight a_i of the fixed-point update, positive on every
+        unknown row.
     diff_e, conv_e, reac_e, d_e : arrays
         Off-diagonal entries of the diffusion, convection, reaction and
         artificial diffusion blocks, aligned with ``mesh.edges``.  The
@@ -38,12 +42,14 @@ class Operators:
         implied.
     """
 
-    def __init__(self, mesh, b, reaction_lumped, art_row, edge_arrays):
+    def __init__(self, mesh, b, reaction_lumped, art_row, row_weight,
+                 edge_arrays):
         self.mesh = mesh
         self.num_free = mesh.num_free
         self.b = b
         self.reaction_lumped = reaction_lumped
         self.art_row = art_row
+        self.row_weight = row_weight
         self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
 
 
@@ -75,46 +81,49 @@ def assemble(mesh, problem):
         "cad,cbd->cab", grads, grads)
     local_b = np.einsum("aq,cq->ca", _PHI, fq * w)
 
-    indptr, indices = mesh.adjacency
-    rows_pat = np.repeat(np.arange(n), np.diff(indptr))
-    csr_keys = rows_pat * n + indices
+    et = mesh.edges
 
-    rows = np.broadcast_to(cells[:, :, None], (len(cells), 3, 3)).ravel()
-    cols = np.broadcast_to(cells[:, None, :], (len(cells), 3, 3)).ravel()
-    pos = np.searchsorted(csr_keys, rows * n + cols)
+    def scatter(local):
+        # the six off-diagonal local pairs (a, b) in et.cell_edges order
+        off = local.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]]
+        return np.bincount(et.cell_edges.ravel(), off.ravel(),
+                           minlength=len(et.i))
 
-    def accumulate(local):
-        data = np.zeros(len(indices))
-        np.add.at(data, pos, local.ravel())
-        return data
+    def diagonal(local):
+        diag = np.diagonal(local, axis1=1, axis2=2)
+        return np.bincount(cells.ravel(), diag.ravel(), minlength=n)
 
-    diff_data = accumulate(local_diff)
-    conv_data = accumulate(local_conv)
-    reac_data = accumulate(local_reac)
-
-    offdiag = rows_pat != indices
-    tol = 1e-12 * (1.0 + np.abs(diff_data).max())
-    if np.any(diff_data[offdiag] > tol):
+    diff_e = scatter(local_diff)
+    tol = 1e-12 * (1.0 + max(np.abs(diff_e).max(),
+                             np.abs(diagonal(local_diff)).max()))
+    if np.any(diff_e > tol):
         raise ValueError("mesh is not weakly acute: positive off-diagonal "
                          "diffusion entries")
 
-    b = np.zeros(n)
-    np.add.at(b, cells.ravel(), local_b.ravel())
+    b = np.bincount(cells.ravel(), local_b.ravel(), minlength=n)
     b[mesh.num_free:] = 0.0
 
-    et = mesh.edges
-    edge_pos = np.searchsorted(csr_keys, et.i * n + et.j)
-
-    conv_e = conv_data[edge_pos]
+    conv_e = scatter(local_conv)
     d_e = np.maximum(np.maximum(np.abs(conv_e), np.abs(conv_e[et.rev])),
                      DELTA * mesh.h)
     art_row = 2.0 * np.add.reduceat(d_e, et.indptr[:-1])
     if np.any(art_row <= 0.0):
         raise ValueError("artificial diffusion row weight must be positive")
 
-    reaction_lumped = np.add.reduceat(reac_data, indptr[:-1])
-    edge_arrays = (diff_data[edge_pos], conv_e, reac_data[edge_pos], d_e)
-    return Operators(mesh, b, reaction_lumped, art_row, edge_arrays)
+    # reaction row sums in column order, each diagonal inserted before the
+    # first column above it; a per-cell row sum would round differently
+    reac_e = scatter(local_reac)
+    below = np.bincount(et.i[et.j < et.i], minlength=n)
+    row = np.insert(reac_e, et.indptr[:-1] + below, diagonal(local_reac))
+    reaction_lumped = np.add.reduceat(row, et.indptr[:-1] + np.arange(n))
+
+    row_weight = (reaction_lumped + art_row
+                  - np.add.reduceat(diff_e, et.indptr[:-1]))
+    if np.any(row_weight[:mesh.num_free] <= 0.0):
+        raise ValueError("nonpositive fixed-point row weight; coefficient "
+                         "assumptions violated")
+    return Operators(mesh, b, reaction_lumped, art_row, row_weight,
+                     (diff_e, conv_e, reac_e, d_e))
 
 
 def galerkin_residual(ops, u):

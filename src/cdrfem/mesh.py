@@ -24,9 +24,11 @@ import numpy as np
 # boundary side tags of the unit square
 BOTTOM, RIGHT, TOP, LEFT = 0, 1, 2, 3
 
-# directed adjacency edges (i, j), j != i, sorted by (i, j); rev maps each
-# edge to the position of its reverse and indptr groups edges by row i
-EdgeTable = namedtuple("EdgeTable", ["i", "j", "rev", "indptr"])
+# directed edges (i, j) of the cell edges, sorted by (i, j); rev maps each
+# edge to the position of its reverse, indptr groups edges by row i and the
+# int32 (cells, 6) cell_edges holds the position of every cell's local
+# pairs (a, b), a != b, in the order (0,1), (0,2), (1,0), (1,2), (2,0), (2,1)
+EdgeTable = namedtuple("EdgeTable", ["i", "j", "rev", "indptr", "cell_edges"])
 
 
 class Mesh:
@@ -96,30 +98,29 @@ class Mesh:
         return g / (2.0 * self.cell_areas)[:, None, None]
 
     @cached_property
-    def adjacency(self):
-        """CSR node adjacency (indptr, indices); N_i includes i itself."""
-        n = self.num_vertices
-        loc = [0, 0, 1, 1, 2, 2]
-        rows = np.concatenate([self.cells[:, loc].ravel(), np.arange(n)])
-        cols = np.concatenate([self.cells[:, [1, 2, 0, 2, 0, 1]].ravel(),
-                               np.arange(n)])
-        keys = np.unique(rows * n + cols)
-        indices = keys % n
-        indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        return indptr, indices
-
-    @cached_property
     def edges(self):
-        """Directed off-diagonal adjacency pairs as an EdgeTable."""
-        indptr, indices = self.adjacency
+        """Directed cell edges as an EdgeTable.
+
+        One argsort orders both orientations of the unique cell edges of
+        ``_edge_keys``; its inverse gives ``rev`` and ``cell_edges``.
+        """
         n = self.num_vertices
-        i = np.repeat(np.arange(n), np.diff(indptr))
-        keep = i != indices
-        i, j = i[keep], indices[keep]
-        keys = i * n + j
-        rev = np.searchsorted(keys, j * n + i)
-        eptr = np.searchsorted(i, np.arange(n + 1))
-        return EdgeTable(i, j, rev, eptr)
+        ukeys, inv = _edge_keys(self)
+        lo, hi = ukeys // n, ukeys % n
+        order = np.argsort(np.concatenate([ukeys, hi * n + lo]))
+        i = np.concatenate([lo, hi])[order]
+        j = np.concatenate([hi, lo])[order]
+        # entry u is cell edge u, lo -> hi; entry u + len(ukeys) is its reverse
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order))
+        rev = pos[(order + len(ukeys)) % len(order)]
+        # the local pairs (a, b) lie on the cell edges 01, 20, 01, 12, 20, 12
+        c = self.cells
+        flip = c[:, [0, 0, 1, 1, 2, 2]] > c[:, [1, 2, 0, 2, 0, 1]]
+        und = inv.reshape(-1, 3)[:, [0, 2, 0, 1, 2, 1]] + len(ukeys) * flip
+        cell_edges = pos[und].astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
+        return EdgeTable(i, j, rev, indptr, cell_edges)
 
     @cached_property
     def node_cells(self):

@@ -61,6 +61,9 @@ class SolveOptions:
         if not 0 <= self.tail_average <= self.max_iter:
             raise ValueError(f"tail_average must lie in [0, max_iter], got "
                              f"{self.tail_average}")
+        if self.check_bounds and self.limiter != "wmc":
+            raise ValueError("check_bounds needs the balanced limiter 'wmc'; "
+                             f"{self.limiter!r} has no limited bar states")
         guess = self.initial_guess
         if not (isinstance(guess, np.ndarray)
                 or (isinstance(guess, str) and guess == "zero")):
@@ -79,13 +82,6 @@ class SolveReport:
     dmp_audit: Optional[list] = None
 
 
-def row_weights(ops):
-    """Diagonal weights a_i of the fixed-point update, all positive."""
-    et = ops.mesh.edges
-    diff_row = np.add.reduceat(ops.diff_e, et.indptr[:-1])
-    return ops.reaction_lumped + ops.art_row - diff_row
-
-
 def _gather(ops, state, u):
     """Row sums of 2 d_ij ubar*_ij - a_ij^D u_j over the unknown rows.
 
@@ -100,29 +96,26 @@ def _gather(ops, state, u):
     return np.add.reduceat(terms, et.indptr[:m])
 
 
-def residual(ops, state, u, weights=None, gather=None):
+def residual(ops, state, u, gather=None):
     """Row residuals of the frozen-state system over the unknown rows.
 
-    ``weights`` is ``row_weights(ops)`` and ``gather`` is
-    ``_gather(ops, state, u)``; a solve passes both in, so the constant
-    weights are reduced once per solve and the gather once per sweep.
+    ``gather`` is ``_gather(ops, state, u)``; a solve passes it in, so the
+    gather is reduced once per sweep.
     """
     m = ops.num_free
-    a = row_weights(ops) if weights is None else weights
     g = _gather(ops, state, u) if gather is None else gather
-    return a[:m] * u[:m] - g - state.rhs[:m]
+    return ops.row_weight[:m] * u[:m] - g - state.rhs[:m]
 
 
-def fixed_point_step(ops, state, u, weights=None, gather=None):
+def fixed_point_step(ops, state, u, gather=None):
     """One undamped update of all unknowns; Dirichlet entries pass through.
 
-    ``weights`` and ``gather`` are as in ``residual``.
+    ``gather`` is as in ``residual``.
     """
     m = ops.num_free
-    a = row_weights(ops) if weights is None else weights
     g = _gather(ops, state, u) if gather is None else gather
     unew = u.copy()
-    unew[:m] = (g + state.rhs[:m]) / a[:m]
+    unew[:m] = (g + state.rhs[:m]) / ops.row_weight[:m]
     return unew
 
 
@@ -162,10 +155,6 @@ def solve(mesh, problem, options=None, ops=None):
         raise ValueError(f"initial guess must have shape ({n},)")
     if ops is None:
         ops = assemble(mesh, problem)
-    weights = row_weights(ops)
-    if np.any(weights[:mesh.num_free] <= 0.0):
-        raise ValueError("nonpositive fixed-point row weight; coefficient "
-                         "assumptions violated")
 
     ctx = LimiterContext(mesh, ops, problem)
     u = _initial_iterate(mesh, problem, guess)
@@ -181,13 +170,13 @@ def solve(mesh, problem, options=None, ops=None):
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
         gather = _gather(ops, state, u)
-        rnorm = float(np.linalg.norm(residual(ops, state, u, weights, gather)))
+        rnorm = float(np.linalg.norm(residual(ops, state, u, gather)))
         history.append(rnorm)
         limit = DIVERGENCE_GROWTH * max(history[0], 1.0)
         if not (np.isfinite(rnorm) and rnorm <= limit):
             raise RuntimeError(
                 f"fixed-point iteration diverged after {iterations} sweeps")
-        if options.check_bounds and state.ubar_s_star is not None:
+        if options.check_bounds:
             free = ctx.free_row
             over = state.ubar_s_star[free] - state.bar_max[state.ei[free]]
             under = state.bar_min[state.ei[free]] - state.ubar_s_star[free]
@@ -199,7 +188,7 @@ def solve(mesh, problem, options=None, ops=None):
             break
         if iterations >= options.max_iter:
             break
-        unew = fixed_point_step(ops, state, u, weights, gather)
+        unew = fixed_point_step(ops, state, u, gather)
         u = unew if omega == 1.0 else (1.0 - omega) * u + omega * unew
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:
@@ -209,7 +198,7 @@ def solve(mesh, problem, options=None, ops=None):
     if not converged and acc is not None:
         u = acc / acc_n
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = float(np.linalg.norm(residual(ops, state, u, weights)))
+        rnorm = float(np.linalg.norm(residual(ops, state, u)))
         history.append(rnorm)
         converged = rnorm <= options.tol
 

@@ -7,6 +7,8 @@ the production routine to reproduce it.
 
 import numpy as np
 
+from cdrfem.assembly import DELTA
+
 
 def lexsort_mirror_cells(mesh):
     """``Mesh.mirror_cells`` by a lexsort over all (edge, incident cell) rows.
@@ -73,6 +75,94 @@ def write_vtk_by_scalar(mesh, u, path, title="cdrfem solution"):
         out.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         for v in u:
             out.write(f"{v:.17g}\n")
+
+
+def adjacency_edges(mesh):
+    """``Mesh.edges`` (i, j, rev, indptr) from the hashed CSR node adjacency.
+
+    Returns the CSR pattern (indptr, indices) with the diagonals included,
+    then the directed off-diagonal pairs read back from it, with ``rev``
+    and the row pointer found by ``searchsorted``.
+    """
+    n = mesh.num_vertices
+    loc = [0, 0, 1, 1, 2, 2]
+    rows = np.concatenate([mesh.cells[:, loc].ravel(), np.arange(n)])
+    cols = np.concatenate([mesh.cells[:, [1, 2, 0, 2, 0, 1]].ravel(),
+                           np.arange(n)])
+    keys = np.unique(rows * n + cols)
+    indices = keys % n
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+
+    i = np.repeat(np.arange(n), np.diff(indptr))
+    keep = i != indices
+    i, j = i[keep], indices[keep]
+    rev = np.searchsorted(i * n + j, j * n + i)
+    eptr = np.searchsorted(i, np.arange(n + 1))
+    return (indptr, indices), (i, j, rev, eptr)
+
+
+def csr_assemble(mesh, problem):
+    """``assemble``'s arrays by scattering onto the full CSR adjacency.
+
+    The cell matrices go onto the CSR slots of ``adjacency_edges``,
+    diagonals included, with ``np.add.at``; the per-edge arrays are read
+    back through ``searchsorted`` and ``reaction_lumped`` is the full row
+    sum.  Returns a dict keyed by the ``Operators`` attribute names.
+    """
+    n = mesh.num_vertices
+    cells = mesh.cells
+    area = mesh.cell_areas
+    grads = mesh.cell_grads
+    p = mesh.vertices[cells]
+    phi = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+
+    qpts = 0.5 * (p + np.roll(p, -1, axis=1))
+    qx, qy = qpts[:, :, 0], qpts[:, :, 1]
+    vx, vy = problem.velocity(qx, qy)
+    cq = problem.reaction(qx, qy)
+    fq = problem.source(qx, qy)
+    w = area[:, None] / 3.0
+    vdotg = (np.asarray(vx)[:, :, None] * grads[:, None, :, 0]
+             + np.asarray(vy)[:, :, None] * grads[:, None, :, 1])
+    local_conv = np.einsum("aq,cqb,cq->cab", phi, vdotg,
+                           np.broadcast_to(w, qx.shape))
+    local_reac = np.einsum("aq,bq,cq->cab", phi, phi, cq * w)
+    local_diff = problem.epsilon * area[:, None, None] * np.einsum(
+        "cad,cbd->cab", grads, grads)
+    local_b = np.einsum("aq,cq->ca", phi, fq * w)
+
+    (indptr, indices), (ei, ej, rev, eptr) = adjacency_edges(mesh)
+    rows_pat = np.repeat(np.arange(n), np.diff(indptr))
+    csr_keys = rows_pat * n + indices
+    rows = np.broadcast_to(cells[:, :, None], (len(cells), 3, 3)).ravel()
+    cols = np.broadcast_to(cells[:, None, :], (len(cells), 3, 3)).ravel()
+    pos = np.searchsorted(csr_keys, rows * n + cols)
+
+    def accumulate(local):
+        data = np.zeros(len(indices))
+        np.add.at(data, pos, local.ravel())
+        return data
+
+    diff_data = accumulate(local_diff)
+    conv_data = accumulate(local_conv)
+    reac_data = accumulate(local_reac)
+
+    b = np.zeros(n)
+    np.add.at(b, cells.ravel(), local_b.ravel())
+    b[mesh.num_free:] = 0.0
+
+    edge_pos = np.searchsorted(csr_keys, ei * n + ej)
+    conv_e = conv_data[edge_pos]
+    d_e = np.maximum(np.maximum(np.abs(conv_e), np.abs(conv_e[rev])),
+                     DELTA * mesh.h)
+    reaction_lumped = np.add.reduceat(reac_data, indptr[:-1])
+    art_row = 2.0 * np.add.reduceat(d_e, eptr[:-1])
+    diff_e = diff_data[edge_pos]
+    row_weight = (reaction_lumped + art_row
+                  - np.add.reduceat(diff_e, eptr[:-1]))
+    return {"b": b, "reaction_lumped": reaction_lumped, "art_row": art_row,
+            "row_weight": row_weight, "diff_e": diff_e, "conv_e": conv_e,
+            "reac_e": reac_data[edge_pos], "d_e": d_e}
 
 
 def hat_gradients(p):

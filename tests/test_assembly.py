@@ -4,7 +4,8 @@ import pytest
 from cdrfem import (Mesh, ProblemSpec, assemble, build_level0,
                     classify_and_order, galerkin_residual, refine)
 from cdrfem.assembly import DELTA, galerkin_row_residual
-from oracles import dense_operators
+from cdrfem.benchmarks import PROBLEMS
+from oracles import adjacency_edges, csr_assemble, dense_operators
 
 
 def make_problem(epsilon=1.0, velocity=(0.0, 0.0), reaction=0.0, source=0.0):
@@ -119,6 +120,32 @@ def test_dense_oracle_agreement():
     u = np.random.default_rng(5).standard_normal(mesh.num_vertices)
     want = ((D + C + R) @ u - b)[:mesh.num_free]
     assert np.allclose(galerkin_residual(ops, u), want, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_edges_and_operators_match_csr_oracle(grid_id):
+    # the edge table and the edge scatter reproduce the hashed adjacency and
+    # the full-pattern np.add.at bit for bit
+    base = build_level0(grid_id)
+    for level in range(6):
+        for name in sorted(PROBLEMS):
+            prob = PROBLEMS[name]()
+            mesh = classify_and_order(base, prob)
+            et = mesh.edges
+            _, want = adjacency_edges(mesh)
+            for field, ref in zip(("i", "j", "rev", "indptr"), want):
+                assert np.array_equal(getattr(et, field), ref), (level, name,
+                                                                 field)
+            assert et.cell_edges.dtype == np.int32
+            c = mesh.cells
+            local = et.cell_edges
+            assert np.array_equal(et.i[local], c[:, [0, 0, 1, 1, 2, 2]])
+            assert np.array_equal(et.j[local], c[:, [1, 2, 0, 2, 0, 1]])
+            ops = assemble(mesh, prob)
+            for field, ref in csr_assemble(mesh, prob).items():
+                assert np.array_equal(getattr(ops, field), ref), (level, name,
+                                                                  field)
+        base = refine(base)
 
 
 def test_row_residual_matches_dense():

@@ -269,15 +269,29 @@ def test_mirror_cell_rejects_non_edge():
 
 
 def test_edge_table_structure():
-    mesh = refined(2, 1)
-    et = mesh.edges
-    assert np.all(et.i != et.j)
-    # rev is an involution mapping (i, j) to (j, i)
-    assert np.array_equal(et.i, et.j[et.rev])
-    assert np.array_equal(et.j, et.i[et.rev])
-    assert np.array_equal(et.rev[et.rev], np.arange(len(et.i)))
-    counts = np.diff(et.indptr)
-    assert np.array_equal(np.repeat(np.arange(mesh.num_vertices), counts), et.i)
+    bases = [build_level0(1), build_level0(2)]
+    for level in range(5):
+        meshes = [classify_and_order(base, PROBLEMS[name]())
+                  for base in bases for name in sorted(PROBLEMS)]
+        for mesh in bases + meshes:
+            et = mesh.edges
+            assert np.all(et.i != et.j)
+            assert len(et.i) == 2 * len(undirected_edges(mesh))
+            # rev is an involution mapping (i, j) to (j, i)
+            assert np.array_equal(et.i, et.j[et.rev])
+            assert np.array_equal(et.j, et.i[et.rev])
+            assert np.array_equal(et.rev[et.rev], np.arange(len(et.i)))
+            counts = np.diff(et.indptr)
+            assert np.array_equal(np.repeat(np.arange(mesh.num_vertices),
+                                            counts), et.i)
+            # columns strictly ascending within each row
+            same_row = et.i[1:] == et.i[:-1]
+            assert np.all(et.j[1:][same_row] > et.j[:-1][same_row])
+            if mesh.num_free is not None:
+                # the edges of the unknown rows form the leading block
+                m = mesh.num_free
+                assert et.indptr[m] == np.count_nonzero(et.i < m), level
+        bases = [refine(base) for base in bases]
 
 
 def test_prolong_preserves_linear_functions():

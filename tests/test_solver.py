@@ -9,8 +9,7 @@ import cdrfem.solver
 from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
                     build_level0, classify_and_order, refine, solve)
 from cdrfem.limiter import LimiterContext, edge_state
-from cdrfem.solver import (_initial_iterate, fixed_point_step, residual,
-                           row_weights)
+from cdrfem.solver import _initial_iterate, fixed_point_step, residual
 from oracles import dense_operators, row_residual
 
 
@@ -126,6 +125,8 @@ INVALID_OPTIONS = [
     {"tol": -1e-8}, {"tail_average": -1},
     {"max_iter": 10, "tail_average": 11},
     {"initial_guess": "random"}, {"initial_guess": "dirichlet-extension"},
+    {"limiter": "mc", "check_bounds": True},
+    {"limiter": "galerkin", "check_bounds": True},
 ]
 
 
@@ -185,7 +186,7 @@ def test_row_weights_positive_on_benchmarks():
         prob = factory()
         mesh = meshed(prob, level=2)
         ops = assemble(mesh, prob)
-        assert np.all(row_weights(ops)[:mesh.num_free] > 0.0)
+        assert np.all(ops.row_weight[:mesh.num_free] > 0.0)
 
 
 def test_row_residual_matches_vector():
