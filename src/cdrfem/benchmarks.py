@@ -22,8 +22,7 @@ class ProblemSpec:
     ``reaction``, ``source`` and ``dirichlet`` map (x, y) to value arrays.
     ``boundary`` selects the Dirichlet rule: "dirichlet" marks every side not
     in ``neumann_sides``, "inflow" marks edges where the velocity enters the
-    domain.  ``exact`` and ``exact_grad`` are optional references for error
-    norms.
+    domain.  ``exact`` is an optional reference solution for error norms.
     """
 
     name: str
@@ -35,7 +34,6 @@ class ProblemSpec:
     boundary: str = "dirichlet"
     neumann_sides: tuple = ()
     exact: Optional[Callable] = None
-    exact_grad: Optional[Callable] = None
 
 
 def _zero(x, y):
@@ -91,12 +89,6 @@ def problem_boundary_layers(epsilon=1e-3):
         x, y, e1, e2 = parts(x, y)
         return x * y ** 2 - y ** 2 * e1 - x * e2 + e1 * e2
 
-    def exact_grad(x, y):
-        x, y, e1, e2 = parts(x, y)
-        ux = y ** 2 - (2.0 / eps) * y ** 2 * e1 - e2 + (2.0 / eps) * e1 * e2
-        uy = 2.0 * x * y - 2.0 * y * e1 - (3.0 / eps) * x * e2 + (3.0 / eps) * e1 * e2
-        return ux, uy
-
     def source(x, y):
         x, y, e1, e2 = parts(x, y)
         return (2.0 * y ** 2 + 6.0 * x * y - 2.0 * eps * x
@@ -108,7 +100,7 @@ def problem_boundary_layers(epsilon=1e-3):
 
     return ProblemSpec(name="boundary-layers", epsilon=eps, velocity=velocity,
                        reaction=_zero, source=source, dirichlet=exact,
-                       exact=exact, exact_grad=exact_grad)
+                       exact=exact)
 
 
 def problem_circular_layers(epsilon=1e-4):
@@ -148,13 +140,6 @@ def problem_circular_convection():
         r = np.sqrt(x ** 2 + y ** 2)
         return np.exp(-100.0 * (r - 0.7) ** 2)
 
-    def exact_grad(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        r = np.sqrt(x ** 2 + y ** 2)
-        du = np.exp(-100.0 * (r - 0.7) ** 2) * (-200.0) * (r - 0.7)
-        safe = np.where(r > 0.0, r, 1.0)
-        return du * np.where(r > 0.0, x / safe, 0.0), du * np.where(r > 0.0, y / safe, 0.0)
-
     def one(x, y):
         return np.ones_like(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
@@ -164,8 +149,7 @@ def problem_circular_convection():
 
     return ProblemSpec(name="circular-convection", epsilon=0.0,
                        velocity=velocity, reaction=one, source=exact,
-                       dirichlet=exact, boundary="inflow",
-                       exact=exact, exact_grad=exact_grad)
+                       dirichlet=exact, boundary="inflow", exact=exact)
 
 
 def problem_equilibrium(epsilon=1e-6, vhat=(1.0, 0.0), fhat=1.0):
@@ -185,11 +169,6 @@ def problem_equilibrium(epsilon=1e-6, vhat=(1.0, 0.0), fhat=1.0):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return fhat * (x * vhat[0] + y * vhat[1]) / speed2
 
-    def exact_grad(x, y):
-        shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
-        return (np.full(shape, fhat * vhat[0] / speed2),
-                np.full(shape, fhat * vhat[1] / speed2))
-
     def velocity(x, y):
         shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
         return np.full(shape, vhat[0]), np.full(shape, vhat[1])
@@ -200,7 +179,7 @@ def problem_equilibrium(epsilon=1e-6, vhat=(1.0, 0.0), fhat=1.0):
 
     return ProblemSpec(name="equilibrium", epsilon=float(epsilon),
                        velocity=velocity, reaction=_zero, source=source,
-                       dirichlet=exact, exact=exact, exact_grad=exact_grad)
+                       dirichlet=exact, exact=exact)
 
 
 PROBLEMS = {

@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import assemble
 from .benchmarks import PROBLEMS, convergence_study, error_norms, eoc, ErrorRecord
 from .mesh import build_level0, classify_and_order, refine
-from .solver import SolveOptions, audit_dmp, solve
+from .solver import LIMITERS, VARIANTS, SolveOptions, audit_dmp, solve
 
 CSV_HEADER = "level,ndof,h,l2_error,eoc_l2,l1_error,eoc_l1,iterations,converged"
 
@@ -77,6 +77,7 @@ def _build_parser():
         description="Flux-corrected P1 solver for steady "
                     "convection-diffusion-reaction problems")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolveOptions()
 
     def common(p, levels=False):
         p.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
@@ -86,16 +87,17 @@ def _build_parser():
                            metavar="LO:HI")
         else:
             p.add_argument("--level", type=int, default=4)
-        p.add_argument("--limiter", default="wmc",
-                       choices=("galerkin", "mc", "wmc"))
-        p.add_argument("--wb-variant", default="full",
-                       choices=("full", "simplified"))
+        p.add_argument("--limiter", default=defaults.limiter,
+                       choices=LIMITERS)
+        p.add_argument("--wb-variant", default=defaults.wb_variant,
+                       choices=VARIANTS)
         p.add_argument("--epsilon", type=float, default=None,
                        help="override the problem's diffusion coefficient")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=30000)
-        p.add_argument("--damping", type=float, default=1.0)
-        p.add_argument("--tail-average", type=int, default=0,
+        p.add_argument("--tol", type=float, default=defaults.tol)
+        p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+        p.add_argument("--damping", type=float, default=defaults.damping)
+        p.add_argument("--tail-average", type=int,
+                       default=defaults.tail_average,
                        help="when max-iter is exhausted, return the mean of "
                             "the last N sweeps (tames limiter limit cycles)")
         p.add_argument("--outdir", default=".")

@@ -12,14 +12,17 @@ Division by the artificial diffusion is safe everywhere (it has a positive
 floor), and the limited fluxes are assembled from products of the form
 2*d_ij*(...) exactly as written, so antisymmetry holds to the last bit.
 
-The helpers above ``EdgeState`` state the steps of the plain limiter as
-defined; ``tests/oracles.py`` states those of the balanced limiter the same
-way (``limit_balancing``, ``wb_bar_state``, ``wb_target_flux``,
-``wb_limit``).  ``edge_state`` evaluates the same arithmetic for all edges
-at once; where it regroups a step, the regrouping is exact (a negation, or
-a factor that is symmetric in i and j), so its fluxes agree with the
-helpers bit for bit.
-Its one pass over the edges relies on these invariants:
+``tests/oracles.py`` states the steps of both limiters as defined: the bar
+state and target flux of the plain limiter (``bar_state``,
+``mc_target_flux``) and the steps of the balanced one (``limit_balancing``,
+``wb_bar_state``, ``wb_target_flux``, ``wb_limit``).  ``mc_limit`` and
+``limiting_factor`` stay here because ``edge_state`` and ``EdgeState`` call
+them.  ``edge_state`` evaluates the same arithmetic for all edges at once;
+where it regroups a step, the regrouping is exact (a negation, or a factor
+that is symmetric in i and j), so its fluxes agree with the helpers bit for
+bit.  All three limiters share one prefix, u_i, u_j, u_i - u_j and the bar
+state, computed by one rule.  The pass over the edges relies on these
+invariants:
 
 * Unknowns come first and edges are sorted by their row, so the rows of
   free nodes own the prefix ``et.indptr[num_free]`` of the edge table.
@@ -43,16 +46,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def bar_state(u_i, u_j, conv_ij, d_ij):
-    """Low-order edge average shifted against the convective difference."""
-    return 0.5 * (u_i + u_j) - conv_ij * (u_j - u_i) / (2.0 * d_ij)
-
-
-def mc_target_flux(u_i, u_j, d_ij, reac_ij):
-    """Raw antidiffusive flux (d_ij + a_ij^R)(u_i - u_j)."""
-    return (d_ij + reac_ij) * (u_i - u_j)
 
 
 def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
@@ -89,18 +82,15 @@ class EdgeState:
     ``ubar_s_star`` feed no iterate; they are computed on first read.
     """
 
-    limiter: str
     ei: np.ndarray
     ej: np.ndarray
     ubar: np.ndarray
     wflux: np.ndarray
     rhs: np.ndarray
-    variant: Optional[str] = None
     ftarget: Optional[np.ndarray] = None
     fstar: Optional[np.ndarray] = None
     umin: Optional[np.ndarray] = None          # per node
     umax: Optional[np.ndarray] = None          # per node
-    s: Optional[np.ndarray] = None             # per node
     P: Optional[np.ndarray] = None
     Qp: Optional[np.ndarray] = None
     Qm: Optional[np.ndarray] = None
@@ -214,46 +204,24 @@ class LimiterContext:
                              shape=(len(kcell), mesh.num_vertices))
 
 
-def _mc_state(ctx, u, limiter, limit_fluxes):
-    """Plain Galerkin fluxes, or the bar-state limiter of the fluxes."""
-    ops, et = ctx.ops, ctx.et
-    d = ops.d_e
-    ui, uj = np.repeat(u, ctx.degree), u[et.j]
-    ubar = bar_state(ui, uj, ops.conv_e, d)
-    f = mc_target_flux(ui, uj, d, ops.reac_e)
-    if limiter == "galerkin":
-        return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
-                         ftarget=f, wflux=2.0 * d * ubar + f, rhs=ops.b)
-    umin, umax = ctx.row_bounds(uj)
-    np.minimum(umin, u, out=umin)
-    np.maximum(umax, u, out=umax)
-    if limit_fluxes:
-        fstar = mc_limit(f, d, ubar, ubar[et.rev], umin[et.i], umax[et.i],
-                         umin[et.j], umax[et.j])
-    else:
-        fstar = f
-    return EdgeState(limiter=limiter, ei=et.i, ej=et.j, ubar=ubar,
-                     ftarget=f, fstar=fstar, umin=umin, umax=umax,
-                     wflux=2.0 * d * ubar + fstar, rhs=ops.b)
-
-
 def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
                limit_fluxes=True):
     """Evaluate one limiter sweep at the iterate u.
 
-    ``alpha_override`` and ``limit_fluxes`` disable parts of the balanced
-    limiter; they exist for identity checks, not for production runs.
+    ``variant`` applies to ``wmc`` only.  ``limit_fluxes=False`` skips the
+    flux clip of ``mc`` and ``wmc``, and ``alpha_override`` replaces the
+    balanced limiter's factors; both exist for identity checks, not for
+    production runs.
     """
-    if limiter in ("galerkin", "mc"):
-        return _mc_state(ctx, u, limiter, limit_fluxes)
-    if limiter != "wmc":
+    if limiter not in ("galerkin", "mc", "wmc"):
         raise ValueError(f"unknown limiter {limiter!r}")
-    if variant not in ("full", "simplified"):
+    balanced = limiter == "wmc"
+    if balanced and variant not in ("full", "simplified"):
         raise ValueError(f"unknown variant {variant!r}")
 
     # the first access of grad_incr builds the mirror cells, before any
     # per-edge temporary of this sweep exists
-    fict = ctx.grad_incr @ u if variant == "full" else None
+    fict = ctx.grad_incr @ u if balanced and variant == "full" else None
     ops, et = ctx.ops, ctx.et
     nf, two_d = ctx.num_free_edges, ctx.two_d
     ui, uj = np.repeat(u, ctx.degree), u[et.j]
@@ -264,6 +232,24 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     tmp = ops.conv_e * du
     tmp /= two_d
     ubar += tmp
+
+    if not balanced:
+        # mc_target_flux, then for mc the clip against the local bounds
+        f = ops.d_e + ops.reac_e
+        f *= du
+        fstar = umin = umax = None
+        if limiter == "mc":
+            umin, umax = ctx.row_bounds(uj)
+            np.minimum(umin, u, out=umin)
+            np.maximum(umax, u, out=umax)
+            fstar = f
+            if limit_fluxes:
+                fstar = mc_limit(f, ops.d_e, ubar, ubar[et.rev], umin[et.i],
+                                 umax[et.i], umin[et.j], umax[et.j])
+        wflux = two_d * ubar
+        wflux += f if fstar is None else fstar
+        return EdgeState(ei=et.i, ej=et.j, ubar=ubar, ftarget=f, fstar=fstar,
+                         umin=umin, umax=umax, wflux=wflux, rhs=ops.b)
 
     s = ctx.f_node - ctx.c_node * u
     P = np.repeat(s, ctx.degree)
@@ -338,8 +324,7 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
 
     wflux = two_d * ubar_s
     wflux += fs_star
-    return EdgeState(limiter=limiter, variant=variant, ei=et.i, ej=et.j,
-                     ubar=ubar, s=s, P=P, Qp=Qp, Qm=Qm,
+    return EdgeState(ei=et.i, ej=et.j, ubar=ubar, P=P, Qp=Qp, Qm=Qm,
                      alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
                      bar_min=bar_min, bar_max=bar_max, wflux=wflux,
                      rhs=np.zeros(len(u)), alpha_override=alpha_override,

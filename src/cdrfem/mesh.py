@@ -13,7 +13,9 @@ ordering.
 ``Mesh.mirror_cells`` picks, per directed edge (i, j), the cell at ``x_i``
 used to extrapolate u_h to ``2 x_i - x_j``.  It is one linear pass over the
 (edge, incident cell) rows: constants per cell corner, then segmented minima
-per edge in (score, angle, cell) order, with ties to the smallest cell.
+per edge in (wedge, angle, cell) order, with ties to the smallest cell.  Its
+docstring says why a cell containing ``2 x_i - x_j`` needs no level of its
+own.
 """
 
 from collections import namedtuple
@@ -125,32 +127,37 @@ class Mesh:
     @cached_property
     def node_cells(self):
         """CSR incidence node -> cells containing it (indptr, cell indices)."""
-        n = self.num_vertices
         nodes = self.cells.ravel()
-        cells = np.repeat(np.arange(self.num_cells), 3)
-        order = np.lexsort((cells, nodes))
-        indptr = np.searchsorted(nodes[order], np.arange(n + 1))
-        return indptr, cells[order]
+        # a stable sort keeps the cells of each node ascending
+        order = np.argsort(nodes, kind="stable")
+        counts = np.bincount(nodes, minlength=self.num_vertices)
+        return np.concatenate([[0], np.cumsum(counts)]), order // 3
 
     @cached_property
     def mirror_cells(self):
         """Cell used to extrapolate across each directed edge.
 
         For the directed edge (i, j) the returned cell is incident to
-        ``x_i`` and hosts the reflected point ``2 x_i - x_j``: the cell
-        containing the point when one exists, otherwise a cell whose corner
-        wedge at ``x_i`` contains the direction ``x_i - x_j``, otherwise the
-        incident cell angularly closest to that direction.  Ties resolve to
-        the smallest cell index.
+        ``x_i`` and hosts the reflected point ``2 x_i - x_j``: a cell whose
+        corner wedge at ``x_i`` contains the direction ``x_i - x_j``,
+        otherwise the incident cell angularly closest to that direction.
+        Ties resolve to the smallest cell index.
+
+        A cell that contains the reflected point always wins, with no rule
+        of its own.  It is a wedge cell, and on a conforming mesh the corner
+        wedges at ``x_i`` overlap only along shared edge rays.  When the
+        direction lies on such a ray, the point lies on the common edge line
+        of the two cells sharing it, so both contain it or neither does,
+        and the smaller index wins either way.
 
         The selection takes time linear in the number of (edge, incident
         cell) rows.  The rays from each cell corner to the two other
         corners, and their determinant, are computed once per corner; each
         row gathers its corner's constants and its edge's ``x_i - x_j``.
-        Per edge, three segmented minima (``np.minimum.reduceat``) then take
-        the lowest score (containing, wedge, other), the smallest angle
-        among the rows at that score (angles are evaluated only where that
-        score is "other"), and the smallest cell index among the rows left.
+        Per edge, segmented reductions (``reduceat``) then find whether any
+        row is a wedge cell, the smallest angle among the rows (0 on wedge
+        cells; angles are evaluated only on edges without one), and the
+        smallest cell index among the rows left.
         """
         return _mirror_cells(self)
 
@@ -182,17 +189,14 @@ def _mirror_cells(mesh):
     a = (w0 * dq[row, 1] - w1 * dq[row, 0]) / d
     b = (dp[row, 0] * w1 - dp[row, 1] * w0) / d
 
-    # score 0: the cell contains 2 x_i - x_j; 1: its corner wedge contains
-    # the direction x_i - x_j; 2: neither
+    # the corner wedge of the cell contains the direction x_i - x_j
     tol = 1e-12
     wedge = (a >= -tol) & (b >= -tol)
-    contain = wedge & (a + b <= 1.0 + tol)
     del a, b, d
-    score = 2 - wedge.view(np.int8) - contain.view(np.int8)
-    best = score == np.repeat(np.minimum.reduceat(score, start), counts)
 
-    # angles only on the rows of edges whose best score is 2
-    far = np.flatnonzero(best & (score == 2))
+    # angles only on the rows of edges without a wedge cell
+    has_wedge = np.logical_or.reduceat(wedge, start)
+    far = np.flatnonzero(~np.repeat(has_wedge, counts))
     v0, v1, r = w0[far], w1[far], row[far]
 
     def angle(d):
@@ -200,9 +204,9 @@ def _mirror_cells(mesh):
         dot = v0 * d[r, 0] + v1 * d[r, 1]
         return np.arctan2(cross, dot)
 
-    ang = np.where(best, 0.0, np.inf)
+    ang = np.where(wedge, 0.0, np.inf)
     ang[far] = np.minimum(angle(dp), angle(dq))
-    best &= ang == np.repeat(np.minimum.reduceat(ang, start), counts)
+    best = ang == np.repeat(np.minimum.reduceat(ang, start), counts)
     cell = np.where(best, cdata[row], mesh.num_cells)
     return np.minimum.reduceat(cell, start)
 

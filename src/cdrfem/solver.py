@@ -79,7 +79,6 @@ class SolveReport:
     residual_history: np.ndarray
     meta: dict = field(default_factory=dict)
     bound_check: Optional[dict] = None
-    dmp_audit: Optional[list] = None
 
 
 def _gather(ops, state, u):

@@ -15,7 +15,9 @@ def lexsort_mirror_cells(mesh):
 
     Every row gets its score (0 containing cell, 1 wedge cell, 2 other) and,
     at score 2, the angle between ``x_i - x_j`` and the nearer corner ray;
-    the first row of each edge in (score, angle, cell) order wins.
+    the first row of each edge in (score, angle, cell) order wins.  It keeps
+    the containing-cell level that ``Mesh.mirror_cells`` omits, so agreement
+    shows that this level never decides.
     """
     x = mesh.vertices
     ei, ej = mesh.edges.i, mesh.edges.j
@@ -220,6 +222,16 @@ def fictitious_value(mesh, u, i, j):
     tri = mesh.cells[cell]
     dx = mesh.vertices[i] - mesh.vertices[j]
     return float(u[i] + u[tri] @ (mesh.cell_grads[cell] @ dx))
+
+
+def bar_state(u_i, u_j, conv_ij, d_ij):
+    """Low-order edge average shifted against the convective difference."""
+    return 0.5 * (u_i + u_j) - conv_ij * (u_j - u_i) / (2.0 * d_ij)
+
+
+def mc_target_flux(u_i, u_j, d_ij, reac_ij):
+    """Raw antidiffusive flux (d_ij + a_ij^R)(u_i - u_j)."""
+    return (d_ij + reac_ij) * (u_i - u_j)
 
 
 def net_source(problem, x, y, u):

@@ -54,9 +54,6 @@ def test_boundary_layers_source_against_finite_differences():
     want = -eps * (uxx + uyy) + 2.0 * ux + 3.0 * uy
     got = p.source(x0, y0)
     assert got == pytest.approx(want, rel=1e-4)
-    gx, gy = p.exact_grad(x0, y0)
-    assert gx == pytest.approx(ux, rel=1e-7)
-    assert gy == pytest.approx(uy, rel=1e-7)
 
 
 def test_circular_layers_coefficients():

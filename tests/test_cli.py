@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from cdrfem import (PROBLEMS, build_level0, classify_and_order, error_norms,
-                    refine)
-from cdrfem.cli import CSV_HEADER, run, write_vtk
+from cdrfem import (PROBLEMS, SolveOptions, build_level0, classify_and_order,
+                    error_norms, refine)
+from cdrfem.cli import CSV_HEADER, _build_parser, _options, run, write_vtk
 from oracles import write_vtk_by_scalar
 
 
@@ -222,3 +222,8 @@ def test_nonconverged_solve_still_succeeds(tmp_path, capsys):
     row = lines_of(tmp_path / "report.csv")[1]
     assert row.split(",")[8] == "False"
     assert "converged False" in capsys.readouterr().out
+
+
+def test_option_defaults_are_solve_options_defaults():
+    args = _build_parser().parse_args(["solve", "--problem", "equilibrium"])
+    assert _options(args) == SolveOptions()

@@ -28,7 +28,7 @@ def mirror_cell_reference(mesh, i, j):
     Containment beats wedge membership beats smallest angle between the
     direction x_i - x_j and the corner rays; ties fall to the smallest cell
     index.  Uses barycentric coordinates and arccos, unlike the production
-    code.
+    code, which has no containment level.
     """
     xi, xj = mesh.vertices[i], mesh.vertices[j]
     point = 2.0 * xi - xj
@@ -211,6 +211,24 @@ def test_classify_partition():
     on_boundary[mesh.boundary_edges.ravel()] = True
     assert np.all(on_boundary[m:])
     assert not np.any(on_boundary[:m])
+
+
+def test_node_cells_match_lexsort():
+    bases = [build_level0(1), build_level0(2)]
+    for level in range(5):
+        meshes = [classify_and_order(base, PROBLEMS[name]())
+                  for base in bases for name in sorted(PROBLEMS)]
+        for mesh in bases + meshes:
+            nodes = mesh.cells.ravel()
+            cells = np.repeat(np.arange(mesh.num_cells), 3)
+            order = np.lexsort((cells, nodes))
+            want_ptr = np.searchsorted(nodes[order],
+                                       np.arange(mesh.num_vertices + 1))
+            indptr, data = mesh.node_cells
+            assert indptr.dtype == want_ptr.dtype and data.dtype == cells.dtype
+            assert np.array_equal(indptr, want_ptr), level
+            assert np.array_equal(data, cells[order]), level
+        bases = [refine(base) for base in bases]
 
 
 def test_mirror_interior_symmetric():

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import spsolve
 import cdrfem.solver
 from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
                     build_level0, classify_and_order, refine, solve)
+from cdrfem.benchmarks import problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import _initial_iterate, fixed_point_step, residual
 from oracles import dense_operators, row_residual
@@ -66,6 +67,24 @@ def test_exact_guess_converges_without_sweeps():
     assert again.converged
     assert again.iterations == 0
     assert np.array_equal(again.u, first.u)
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("vhat", [(1.0, 0.5), (0.6, -0.8)])
+def test_tilted_ramp_is_a_fixed_point(vhat, grid_id):
+    # well balance off the axis: the ramp itself is the fixed point of the
+    # full balanced limiter; how the iteration reaches it is not pinned here
+    prob = problem_equilibrium(vhat=vhat)
+    mesh = meshed(prob, grid_id, level=4)
+    ops = assemble(mesh, prob)
+    ramp = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    st = edge_state(LimiterContext(mesh, ops, prob), ramp, variant="full")
+    assert np.abs(residual(ops, st, ramp)).max() <= 1e-15
+    assert np.abs(st.alpha - 1.0).max() <= 1e-13
+    assert np.abs(st.fs_star).max() <= 1e-13
+    rep = solve(mesh, prob, SolveOptions(wb_variant="full",
+                                         initial_guess=ramp), ops=ops)
+    assert rep.converged and rep.iterations == 0
 
 
 def test_max_iter_reports_nonconvergence():

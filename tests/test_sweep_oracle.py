@@ -1,9 +1,8 @@
 """The limiter sweep against the composition of the reference helpers.
 
 ``edge_state`` evaluates the limiters in one lean pass; these tests rebuild
-every flux from the per-edge helpers of ``cdrfem.limiter`` and
-``oracles``, written as the limiters are defined, and require the same
-bits.
+every flux from the per-edge helpers of ``oracles`` and ``cdrfem.limiter``,
+written as the limiters are defined, and require the same bits.
 """
 
 from dataclasses import replace
@@ -12,9 +11,10 @@ import numpy as np
 import pytest
 
 from cdrfem import PROBLEMS, assemble, build_level0, classify_and_order, refine
-from cdrfem.limiter import (LimiterContext, bar_state, edge_state,
-                            limiting_factor, mc_limit, mc_target_flux)
-from oracles import limit_balancing, wb_bar_state, wb_limit, wb_target_flux
+from cdrfem.limiter import (LimiterContext, edge_state, limiting_factor,
+                            mc_limit)
+from oracles import (bar_state, limit_balancing, mc_target_flux, wb_bar_state,
+                     wb_limit, wb_target_flux)
 
 
 def interior_sink():
@@ -75,17 +75,20 @@ def balanced_reference(ctx, u, variant):
     return 2.0 * d * ubar_s + fs_star, P, Qp, Qm
 
 
-def mc_reference(ctx, u):
+def mc_reference(ctx, u, limiter):
+    """wflux, ubar and ftarget of the plain limiters, helper by helper."""
     ops, et = ctx.ops, ctx.et
     i, j = et.i, et.j
     d = ops.d_e
     ubar = bar_state(u[i], u[j], ops.conv_e, d)
     f = mc_target_flux(u[i], u[j], d, ops.reac_e)
-    umin = np.minimum(np.minimum.reduceat(u[j], et.indptr[:-1]), u)
-    umax = np.maximum(np.maximum.reduceat(u[j], et.indptr[:-1]), u)
-    fstar = mc_limit(f, d, ubar, ubar[et.rev], umin[i], umax[i], umin[j],
-                     umax[j])
-    return 2.0 * d * ubar + fstar
+    fstar = f
+    if limiter == "mc":
+        umin = np.minimum(np.minimum.reduceat(u[j], et.indptr[:-1]), u)
+        umax = np.maximum(np.maximum.reduceat(u[j], et.indptr[:-1]), u)
+        fstar = mc_limit(f, d, ubar, ubar[et.rev], umin[i], umax[i], umin[j],
+                         umax[j])
+    return 2.0 * d * ubar + fstar, ubar, f
 
 
 @pytest.mark.parametrize("grid_id", [1, 2])
@@ -103,8 +106,13 @@ def test_sweep_matches_reference_helpers(name, grid_id):
             R = limiting_factor(P, Qp, Qm, b_e, ctx.free_row)
             assert np.array_equal(st.R, R)
             assert np.array_equal(st.alpha, np.minimum(R, R[et.rev]))
-        assert np.array_equal(edge_state(ctx, u, limiter="mc").wflux,
-                              mc_reference(ctx, u))
+        for limiter in ("galerkin", "mc"):
+            st = edge_state(ctx, u, limiter=limiter)
+            wflux, ubar, f = mc_reference(ctx, u, limiter)
+            for got, want in ((st.wflux, wflux), (st.ubar, ubar),
+                              (st.ftarget, f)):
+                # bit for bit, signed zeros included
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_reference_cases_are_covered():
