@@ -95,11 +95,15 @@ def _build_parser():
                        help="override the problem's diffusion coefficient")
         p.add_argument("--tol", type=float, default=defaults.tol)
         p.add_argument("--max-iter", type=int, default=defaults.max_iter)
-        p.add_argument("--damping", type=float, default=defaults.damping)
+        p.add_argument("--damping", type=float, default=defaults.damping,
+                       help="mixing parameter beta in (0, 1] of the Anderson "
+                            "step; a step without history is the damped "
+                            "update (1 - beta) u + beta G(u)")
         p.add_argument("--tail-average", type=int,
                        default=defaults.tail_average,
                        help="when max-iter is exhausted, return the mean of "
-                            "the last N sweeps (tames limiter limit cycles)")
+                            "the last N sweeps (tames limiter limit cycles; "
+                            "the mean has no bound guarantee)")
         p.add_argument("--outdir", default=".")
 
     p_solve = sub.add_parser("solve", help="solve on one refinement level")

@@ -100,7 +100,7 @@ def test_runtime_failures_exit_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     # the plain central scheme blows up on this convection-dominated case
-    code = run(["solve", "--problem", "boundary-layers", "--limiter",
+    code = run(["solve", "--problem", "equilibrium", "--limiter",
                 "galerkin", "--level", "3", "--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err

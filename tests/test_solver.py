@@ -87,6 +87,30 @@ def test_tilted_ramp_is_a_fixed_point(vhat, grid_id):
     assert rep.converged and rep.iterations == 0
 
 
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("vhat", [(1.0, 0.5), (0.6, -0.8)])
+def test_tilted_ramp_reached_from_zero(vhat, grid_id):
+    # the default options reach the ramp on both grids; plain Jacobi sweeps
+    # stall near 7e-3 on grid 2
+    prob = problem_equilibrium(vhat=vhat)
+    mesh = meshed(prob, grid_id, level=4)
+    rep = solve(mesh, prob, SolveOptions(max_iter=2000))
+    assert rep.converged
+    ramp = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    assert np.abs(rep.u - ramp).max() <= 1e-5
+
+
+def test_ladder_options_sweep_count():
+    # the criterion-8 ladder options on one cold level: guards the strength
+    # of the iteration (plain damped Jacobi needs 3640 sweeps here)
+    prob = PROBLEMS["circular-convection"]()
+    mesh = meshed(prob, grid_id=1, level=4)
+    rep = solve(mesh, prob, SolveOptions(damping=0.0625, max_iter=16384,
+                                         tail_average=9216))
+    assert rep.converged
+    assert rep.iterations < 1500
+
+
 def test_max_iter_reports_nonconvergence():
     prob = PROBLEMS["circular-convection"]()
     mesh = meshed(prob, level=3)
@@ -95,6 +119,21 @@ def test_max_iter_reports_nonconvergence():
     assert rep.iterations == 5
     assert len(rep.residual_history) == 6
     assert np.all(np.isfinite(rep.u))
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.25])
+def test_first_step_is_damped_jacobi(damping):
+    # with no history to mix, the step is the damped fixed-point update
+    prob = PROBLEMS["interior-layers"]()
+    mesh = meshed(prob, level=3)
+    ops = assemble(mesh, prob)
+    u0 = _initial_iterate(mesh, prob, "zero")
+    unew = fixed_point_step(ops, edge_state(LimiterContext(mesh, ops, prob),
+                                            u0), u0)
+    rep = solve(mesh, prob, SolveOptions(damping=damping, max_iter=1),
+                ops=ops)
+    assert rep.iterations == 1
+    assert np.array_equal(rep.u, (1.0 - damping) * u0 + damping * unew)
 
 
 def test_initial_iterate_variants():
@@ -167,7 +206,7 @@ def test_invalid_options_rejected(kwargs):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises():
     # the growth guard stops the run long before the residual norm overflows
-    prob = PROBLEMS["boundary-layers"]()
+    prob = PROBLEMS["equilibrium"]()
     mesh = meshed(prob, level=3)
     with pytest.raises(RuntimeError, match="diverged") as err:
         solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=20000))
@@ -238,7 +277,7 @@ def test_report_meta():
     mesh = meshed(prob, level=2)
     rep = solve(mesh, prob, SolveOptions(max_iter=4000, damping=0.9))
     for key in ("problem", "limiter", "wb_variant", "tol", "damping",
-                "epsilon", "level", "ndof", "num_free", "h"):
+                "epsilon", "restarts", "level", "ndof", "num_free", "h"):
         assert key in rep.meta
     assert rep.meta["level"] == 2
     assert rep.meta["ndof"] == mesh.num_vertices
