@@ -45,7 +45,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
@@ -193,16 +192,28 @@ class LimiterContext:
 
     @cached_property
     def grad_incr(self):
-        """Sparse map u -> (u^i_j - u_i) of mirror-cell gradient increments."""
+        """Mirror-cell vertex ids and weights of every edge, two (3, E)
+        arrays, such that u^i_j - u_i = sum_k weight[k] * u[vertex[k]]."""
         mesh = self.mesh
         kcell = mesh.mirror_cells
-        tri = mesh.cells[kcell]
+        vertex = np.ascontiguousarray(mesh.cells[kcell].T)
         dx = mesh.vertices[self.et.i] - mesh.vertices[self.et.j]
-        vals = np.einsum("ekd,ed->ek", mesh.cell_grads[kcell], dx)
-        indptr = np.arange(len(kcell) + 1) * 3
-        return sp.csr_matrix((vals.ravel(), tri.ravel(), indptr),
-                             shape=(len(kcell), mesh.num_vertices))
+        weight = np.ascontiguousarray(
+            np.einsum("ekd,ed->ke", mesh.cell_grads[kcell], dx))
+        return vertex, weight
 
+    def fictitious_increment(self, u):
+        """Mirror-cell gradient increments u^i_j - u_i of the iterate u.
+
+        The three products are added in vertex order, the order of a
+        three-entry sparse row, so the result does not depend on how the
+        map is stored.
+        """
+        vertex, weight = self.grad_incr
+        out = weight[0] * u[vertex[0]]
+        out += weight[1] * u[vertex[1]]
+        out += weight[2] * u[vertex[2]]
+        return out
 
 def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
                limit_fluxes=True):
@@ -221,7 +232,8 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
 
     # the first access of grad_incr builds the mirror cells, before any
     # per-edge temporary of this sweep exists
-    fict = ctx.grad_incr @ u if balanced and variant == "full" else None
+    fict = (ctx.fictitious_increment(u) if balanced and variant == "full"
+            else None)
     ops, et = ctx.ops, ctx.et
     nf, two_d = ctx.num_free_edges, ctx.two_d
     ui, uj = np.repeat(u, ctx.degree), u[et.j]

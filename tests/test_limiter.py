@@ -427,12 +427,13 @@ def test_balancing_flux_oracle(name, grid_id):
 @pytest.mark.parametrize("grid_id", [1, 2])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_grad_incr_oracle(name, grid_id):
-    # grad_incr maps u to the fictitious value minus u_i on every edge
+    # fictitious_increment maps u to the fictitious value minus u_i on every
+    # edge
     prob = PROBLEMS[name]()
     mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
     et = mesh.edges
     u = random_iterate(mesh, prob, np.random.default_rng(61))
     want = np.array([fictitious_value(mesh, u, i, j) - u[i]
                      for i, j in zip(et.i.tolist(), et.j.tolist())])
-    got = ctx.grad_incr @ u
+    got = ctx.fictitious_increment(u)
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(u).max())

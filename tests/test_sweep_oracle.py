@@ -59,7 +59,7 @@ def balanced_reference(ctx, u, variant):
     Qp = np.maximum(ui, uj) - ubar - bac
     Qm = np.minimum(ui, uj) - ubar - bac
     if variant == "full":
-        fict = ctx.grad_incr @ u
+        fict = ctx.fictitious_increment(u)
         Qp = np.maximum(0.5 * fict, Qp)
         Qm = np.minimum(0.5 * fict, Qm)
     b_e = ops.b[i]
