@@ -192,7 +192,9 @@ def solve(mesh, problem, options=None, ops=None):
     acc, acc_n = None, 0
     # Anderson state, allocated at the first step: ring buffers of the last
     # ANDERSON_DEPTH iterate and correction differences, the Gram matrix of
-    # the correction differences, and the previous iterate and correction
+    # the correction differences, and the previous iterate and correction.
+    # Their products are einsums, not BLAS calls, so their summation order
+    # and with it the sweep count do not depend on the BLAS thread count
     dx = df = gram = None
     stored = restarts = 0
     best = np.inf
@@ -232,7 +234,7 @@ def solve(mesh, problem, options=None, ops=None):
             np.subtract(f, f_prev, out=df[s])
             stored += 1
             k = min(stored, ANDERSON_DEPTH)
-            gram[s, :k] = gram[:k, s] = df[:k] @ df[s]
+            gram[s, :k] = gram[:k, s] = np.einsum("km,m->k", df[:k], df[s])
         best = min(best, rnorm)
         u_prev, f_prev = u[:m], f
         if beta != 1.0:
@@ -241,9 +243,10 @@ def solve(mesh, problem, options=None, ops=None):
             # gamma minimises |f - dF gamma|; the step is u + beta f
             # - (dU + beta dF) gamma
             k = min(stored, ANDERSON_DEPTH)
-            gamma = np.linalg.lstsq(gram[:k, :k], df[:k] @ f, rcond=None)[0]
-            unew[:m] -= gamma @ dx[:k]
-            unew[:m] -= (beta * gamma) @ df[:k]
+            rhs = np.einsum("km,m->k", df[:k], f)
+            gamma = np.linalg.lstsq(gram[:k, :k], rhs, rcond=None)[0]
+            unew[:m] -= np.einsum("k,km->m", gamma, dx[:k])
+            unew[:m] -= np.einsum("k,km->m", beta * gamma, df[:k])
         u = unew
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:
