@@ -203,17 +203,14 @@ class LimiterContext:
         return vertex, weight
 
     def fictitious_increment(self, u):
-        """Mirror-cell gradient increments u^i_j - u_i of the iterate u.
-
-        The three products are added in vertex order, the order of a
-        three-entry sparse row, so the result does not depend on how the
-        map is stored.
-        """
+        """Mirror-cell gradient increments u^i_j - u_i of the iterate u,
+        the three products summed in vertex order."""
         vertex, weight = self.grad_incr
         out = weight[0] * u[vertex[0]]
         out += weight[1] * u[vertex[1]]
         out += weight[2] * u[vertex[2]]
         return out
+
 
 def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
                limit_fluxes=True):

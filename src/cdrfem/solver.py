@@ -194,7 +194,7 @@ def solve(mesh, problem, options=None, ops=None):
     # ANDERSON_DEPTH iterate and correction differences, the Gram matrix of
     # the correction differences, and the previous iterate and correction.
     # Their products are einsums, not BLAS calls, so their summation order
-    # and with it the sweep count do not depend on the BLAS thread count
+    # does not depend on the BLAS thread count
     dx = df = gram = None
     stored = restarts = 0
     best = np.inf

@@ -427,8 +427,7 @@ def test_balancing_flux_oracle(name, grid_id):
 @pytest.mark.parametrize("grid_id", [1, 2])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_grad_incr_oracle(name, grid_id):
-    # fictitious_increment maps u to the fictitious value minus u_i on every
-    # edge
+    # the mirror-cell increment is the fictitious value minus u_i per edge
     prob = PROBLEMS[name]()
     mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
     et = mesh.edges
