@@ -11,11 +11,11 @@ values and the Dirichlet nodes come last; all downstream solvers rely on this
 ordering.
 
 ``Mesh.mirror_cells`` picks, per directed edge (i, j), the cell at ``x_i``
-used to extrapolate u_h to ``2 x_i - x_j``.  It is one linear pass over the
-(edge, incident cell) rows: constants per cell corner, then segmented minima
-per edge in (wedge, angle, cell) order, with ties to the smallest cell.  Its
-docstring says why a cell containing ``2 x_i - x_j`` needs no level of its
-own.
+used to extrapolate u_h to ``2 x_i - x_j``.  It reads the cells at ``x_i``
+off the edge table, as the left cells of the edges out of ``x_i``, and keeps
+a running best per edge in (wedge, angle, cell) order, with ties to the
+smallest cell.  Its docstring says why a cell containing ``2 x_i - x_j``
+needs no level of its own.
 """
 
 from collections import namedtuple
@@ -125,15 +125,6 @@ class Mesh:
         return EdgeTable(i, j, rev, indptr, cell_edges)
 
     @cached_property
-    def node_cells(self):
-        """CSR incidence node -> cells containing it (indptr, cell indices)."""
-        nodes = self.cells.ravel()
-        # a stable sort keeps the cells of each node ascending
-        order = np.argsort(nodes, kind="stable")
-        counts = np.bincount(nodes, minlength=self.num_vertices)
-        return np.concatenate([[0], np.cumsum(counts)]), order // 3
-
-    @cached_property
     def mirror_cells(self):
         """Cell used to extrapolate across each directed edge.
 
@@ -150,14 +141,14 @@ class Mesh:
         of the two cells sharing it, so both contain it or neither does,
         and the smaller index wins either way.
 
-        The selection takes time linear in the number of (edge, incident
-        cell) rows.  The rays from each cell corner to the two other
-        corners, and their determinant, are computed once per corner; each
-        row gathers its corner's constants and its edge's ``x_i - x_j``.
-        Per edge, segmented reductions (``reduceat``) then find whether any
-        row is a wedge cell, the smallest angle among the rows (0 on wedge
-        cells; angles are evaluated only on edges without one), and the
-        smallest cell index among the rows left.
+        The cells at ``x_i`` are read off the edge table.  Cells are
+        counterclockwise, so each one is the left cell of exactly one edge
+        (i, p) out of ``x_i``, its counterclockwise edge from i, with the
+        corner rays ``x_p - x_i`` and ``x_q - x_i`` to it and to its third
+        corner q.  A pass over the k-th edge of every row then offers each
+        edge (i, j) one candidate cell, and a running best per edge keeps
+        the smallest (key, cell), the key being -1 on wedge cells and the
+        angle to the nearer ray otherwise.
         """
         return _mirror_cells(self)
 
@@ -165,50 +156,49 @@ class Mesh:
 def _mirror_cells(mesh):
     x = mesh.vertices
     et = mesh.edges
-    cptr, cdata = mesh.node_cells
+    nc = mesh.num_cells
 
-    # corner constants, one per node_cells entry: the rays dp, dq from the
-    # node to the next two corners of the cell and their cross product
-    node = np.repeat(np.arange(mesh.num_vertices), np.diff(cptr))
-    tri = mesh.cells[cdata]
-    li = (tri[:, 1] == node) + 2 * (tri[:, 2] == node)
-    k = np.arange(len(tri))
-    dp = x[tri[k, (li + 1) % 3]] - x[node]
-    dq = x[tri[k, (li + 2) % 3]] - x[node]
-    det = dp[:, 0] * dq[:, 1] - dp[:, 1] * dq[:, 0]
+    # left cell of every directed edge (its local pair (0,1), (1,2) or
+    # (2,0) in cell_edges), the cell's third corner and the rays dp, dq from
+    # x_i to the other two corners; a boundary edge with the domain on its
+    # right keeps cell nc, a zero ray dq and a unit determinant
+    ccw = et.cell_edges[:, [0, 3, 4]]
+    left = np.full(len(et.i), nc)
+    left[ccw] = np.arange(nc)[:, None]
+    third = et.i.copy()
+    third[ccw] = mesh.cells[:, [2, 0, 1]]
+    dp0, dp1 = (x[et.j] - x[et.i]).T.copy()
+    dq0, dq1 = (x[third] - x[et.i]).T.copy()
+    det = dp0 * dq1 - dp1 * dq0
+    det[left == nc] = 1.0
 
-    # one row per (directed edge, cell at x_i): the node_cells entries of
-    # x_i, so the rows of an edge are contiguous from ``start``, cells
-    # ascending
-    counts = np.diff(cptr)[et.i]
-    start = np.cumsum(counts) - counts
-    row = np.arange(counts.sum()) + np.repeat(cptr[et.i] - start, counts)
-    w = x[et.i] - x[et.j]
-    w0, w1 = np.repeat(w[:, 0], counts), np.repeat(w[:, 1], counts)
-    d = det[row]
-    a = (w0 * dq[row, 1] - w1 * dq[row, 0]) / d
-    b = (dp[row, 0] * w1 - dp[row, 1] * w0) / d
+    w0, w1 = (x[et.i] - x[et.j]).T.copy()
 
-    # the corner wedge of the cell contains the direction x_i - x_j
-    tol = 1e-12
-    wedge = (a >= -tol) & (b >= -tol)
-    del a, b, d
-
-    # angles only on the rows of edges without a wedge cell
-    has_wedge = np.logical_or.reduceat(wedge, start)
-    far = np.flatnonzero(~np.repeat(has_wedge, counts))
-    v0, v1, r = w0[far], w1[far], row[far]
-
-    def angle(d):
-        cross = np.abs(v0 * d[r, 1] - v1 * d[r, 0])
-        dot = v0 * d[r, 0] + v1 * d[r, 1]
+    def angle(d0, d1):
+        cross = np.abs(w0 * d1 - w1 * d0)
+        dot = w0 * d0 + w1 * d1
         return np.arctan2(cross, dot)
 
-    ang = np.where(wedge, 0.0, np.inf)
-    ang[far] = np.minimum(angle(dp), angle(dq))
-    best = ang == np.repeat(np.minimum.reduceat(ang, start), counts)
-    cell = np.where(best, cdata[row], mesh.num_cells)
-    return np.minimum.reduceat(cell, start)
+    tol = 1e-12
+    degree = np.diff(et.indptr)
+    best_key = np.full(len(et.i), np.inf)
+    best = np.full(len(et.i), nc)
+    for k in range(degree.max(initial=0)):
+        # candidate k of edge (i, j): the left cell of the k-th edge of row
+        # i, the last one repeated on short rows
+        r = np.repeat(et.indptr[:-1] + np.minimum(k, degree - 1), degree)
+        p0, p1, q0, q1, d = dp0[r], dp1[r], dq0[r], dq1[r], det[r]
+        a = (w0 * q1 - w1 * q0) / d
+        b = (p0 * w1 - p1 * w0) / d
+        # the corner wedge of the cell contains the direction x_i - x_j
+        wedge = (a >= -tol) & (b >= -tol)
+        key = np.where(wedge, -1.0, np.minimum(angle(p0, p1), angle(q0, q1)))
+        cell = left[r]
+        key[cell == nc] = np.inf
+        better = (key < best_key) | ((key == best_key) & (cell < best))
+        np.copyto(best_key, key, where=better)
+        np.copyto(best, cell, where=better)
+    return best
 
 
 def build_level0(grid_id):

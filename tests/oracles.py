@@ -10,6 +10,15 @@ import numpy as np
 from cdrfem.assembly import DELTA
 
 
+def node_cells(mesh):
+    """CSR incidence node -> cells containing it (indptr, cell indices),
+    the cells of each node ascending."""
+    nodes = mesh.cells.ravel()
+    order = np.argsort(nodes, kind="stable")
+    counts = np.bincount(nodes, minlength=mesh.num_vertices)
+    return np.concatenate([[0], np.cumsum(counts)]), order // 3
+
+
 def lexsort_mirror_cells(mesh):
     """``Mesh.mirror_cells`` by a lexsort over all (edge, incident cell) rows.
 
@@ -21,7 +30,7 @@ def lexsort_mirror_cells(mesh):
     """
     x = mesh.vertices
     ei, ej = mesh.edges.i, mesh.edges.j
-    cptr, cdata = mesh.node_cells
+    cptr, cdata = node_cells(mesh)
     counts = cptr[ei + 1] - cptr[ei]
     row_edge = np.repeat(np.arange(len(ei)), counts)
     offs = np.arange(counts.sum()) - np.repeat(

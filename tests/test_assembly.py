@@ -5,7 +5,8 @@ from cdrfem import (Mesh, ProblemSpec, assemble, build_level0,
                     classify_and_order, galerkin_residual, refine)
 from cdrfem.assembly import DELTA, galerkin_row_residual
 from cdrfem.benchmarks import PROBLEMS
-from oracles import adjacency_edges, csr_assemble, dense_operators
+from oracles import (adjacency_edges, csr_assemble, dense_operators,
+                     node_cells)
 
 
 def make_problem(epsilon=1.0, velocity=(0.0, 0.0), reaction=0.0, source=0.0):
@@ -187,7 +188,7 @@ def test_source_vector():
     mesh = classified(1, 2, prob)
     ops = assemble(mesh, prob)
     # f = 1 gives one third of the support area per node
-    cptr, cdata = mesh.node_cells
+    cptr, cdata = node_cells(mesh)
     support = np.add.reduceat(mesh.cell_areas[cdata], cptr[:-1])
     assert np.allclose(ops.b[:mesh.num_free],
                        support[:mesh.num_free] / 3.0, atol=1e-15)

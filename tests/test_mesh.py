@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, build_level0, classify_and_order,
-                    prolong, refine)
+from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, Mesh, build_level0,
+                    classify_and_order, prolong, refine)
 from cdrfem.benchmarks import (PROBLEMS, problem_circular_convection,
                                problem_circular_layers,
                                problem_interior_layers)
@@ -14,6 +14,21 @@ def refined(grid_id, level):
     for _ in range(level):
         mesh = refine(mesh)
     return mesh
+
+
+def jittered(grid_id, level):
+    """``refined`` with every interior vertex moved by up to 0.2 h / sqrt(2)
+    per coordinate, so that the reflected point 2 x_i - x_j of an edge off
+    the boundary is no vertex."""
+    mesh = refined(grid_id, level)
+    x = mesh.vertices.copy()
+    interior = np.ones(len(x), dtype=bool)
+    interior[mesh.boundary_edges.ravel()] = False
+    rng = np.random.default_rng(grid_id)
+    x[interior] += (rng.uniform(-0.2, 0.2, (interior.sum(), 2))
+                    * mesh.h / np.sqrt(2))
+    return Mesh(x, mesh.cells, mesh.boundary_edges, mesh.boundary_tags,
+                level=level)
 
 
 def undirected_edges(mesh):
@@ -213,24 +228,6 @@ def test_classify_partition():
     assert not np.any(on_boundary[:m])
 
 
-def test_node_cells_match_lexsort():
-    bases = [build_level0(1), build_level0(2)]
-    for level in range(5):
-        meshes = [classify_and_order(base, PROBLEMS[name]())
-                  for base in bases for name in sorted(PROBLEMS)]
-        for mesh in bases + meshes:
-            nodes = mesh.cells.ravel()
-            cells = np.repeat(np.arange(mesh.num_cells), 3)
-            order = np.lexsort((cells, nodes))
-            want_ptr = np.searchsorted(nodes[order],
-                                       np.arange(mesh.num_vertices + 1))
-            indptr, data = mesh.node_cells
-            assert indptr.dtype == want_ptr.dtype and data.dtype == cells.dtype
-            assert np.array_equal(indptr, want_ptr), level
-            assert np.array_equal(data, cells[order]), level
-        bases = [refine(base) for base in bases]
-
-
 def test_mirror_interior_symmetric():
     mesh = refined(1, 2)
     x = mesh.vertices
@@ -247,10 +244,12 @@ def test_mirror_interior_symmetric():
     assert np.all(lam >= -1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mirror_cells_match_reference():
     meshes = [refined(gid, lev) for gid, lev in ((1, 2), (2, 1), (2, 2))]
     meshes += [classify_and_order(refined(gid, 3), PROBLEMS[name]())
                for gid in (1, 2) for name in sorted(PROBLEMS)]
+    meshes += [jittered(gid, 3) for gid in (1, 2)]
     for mesh in meshes:
         et = mesh.edges
         got = mesh.mirror_cells
@@ -259,6 +258,7 @@ def test_mirror_cells_match_reference():
             assert got[k] == want, (mesh.level, int(et.i[k]), int(et.j[k]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("grid_id", [1, 2])
 def test_mirror_cells_match_lexsort_oracle(grid_id):
     base = build_level0(grid_id)
@@ -268,6 +268,8 @@ def test_mirror_cells_match_lexsort_oracle(grid_id):
             assert np.array_equal(mesh.mirror_cells,
                                   lexsort_mirror_cells(mesh)), (level, name)
         base = refine(base)
+    mesh = jittered(grid_id, 3)
+    assert np.array_equal(mesh.mirror_cells, lexsort_mirror_cells(mesh))
 
 
 def test_mirror_cells_contain_owner():
