@@ -116,6 +116,12 @@ def _gather(ops, state, u):
     return np.add.reduceat(terms, et.indptr[:m])
 
 
+def _norm(r):
+    """Euclidean norm of r, summed by einsum: np.linalg.norm sums through
+    BLAS dot, whose summation order depends on the BLAS thread count."""
+    return float(np.sqrt(np.einsum("i,i->", r, r)))
+
+
 def residual(ops, state, u, gather=None):
     """Row residuals of the frozen-state system over the unknown rows.
 
@@ -201,7 +207,7 @@ def solve(mesh, problem, options=None, ops=None):
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
         gather = _gather(ops, state, u)
-        rnorm = float(np.linalg.norm(residual(ops, state, u, gather)))
+        rnorm = _norm(residual(ops, state, u, gather))
         history.append(rnorm)
         limit = DIVERGENCE_GROWTH * max(history[0], 1.0)
         if not (np.isfinite(rnorm) and rnorm <= limit):
@@ -256,7 +262,7 @@ def solve(mesh, problem, options=None, ops=None):
     if not converged and acc is not None:
         u = acc / acc_n
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = float(np.linalg.norm(residual(ops, state, u)))
+        rnorm = _norm(residual(ops, state, u))
         history.append(rnorm)
         converged = rnorm <= options.tol
 
