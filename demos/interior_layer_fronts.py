@@ -7,10 +7,17 @@ box-shaped source downstream until an absorption strip removes it.  The
 unlimited Galerkin discretization oscillates violently here; the flux-limited
 scheme keeps every nodal value inside the physically admissible range.
 
-The script solves on a 64x64 criss-cross grid, prints the solution range and
-the height of the downstream plateau, and writes a legacy VTK file that can
-be opened in ParaView.
+The script solves on a 32x32 grid of diagonally split squares (grid 1,
+level 5) and prints the solution range and the height of the downstream
+plateau.  Given a path, as in
+
+    python3 demos/interior_layer_fronts.py interior_layers.vtk
+
+it also writes the solution there as a legacy VTK file that can be opened in
+ParaView.
 """
+
+import sys
 
 import numpy as np
 
@@ -42,5 +49,9 @@ for x_probe in (0.05, 0.35, 0.7, 0.85, 1.0):
     k = np.argmin(np.abs(x_mid - x_probe))
     print(f"  u({x_mid[k]:.3f}, 0.5) = {u_mid[k]:.4f}")
 
-write_vtk(mesh, report.u, "interior_layers.vtk")
-print("wrote interior_layers.vtk")
+if len(sys.argv) > 1:
+    write_vtk(mesh, report.u, sys.argv[1])
+    print(f"wrote {sys.argv[1]}")
+else:
+    print(f"VTK output ({mesh.num_vertices} points, {mesh.num_cells} cells) "
+          "is written only to a path given as the first argument")

@@ -143,11 +143,11 @@ class Mesh:
 
         The cells at ``x_i`` are read off the edge table.  Cells are
         counterclockwise, so each one is the left cell of exactly one edge
-        (i, p) out of ``x_i``, its counterclockwise edge from i, with the
-        corner rays ``x_p - x_i`` and ``x_q - x_i`` to it and to its third
-        corner q.  A pass over the k-th edge of every row then offers each
-        edge (i, j) one candidate cell, and a running best per edge keeps
-        the smallest (key, cell), the key being -1 on wedge cells and the
+        (i, p) out of ``x_i``: its counterclockwise edge from i.  That edge
+        carries the cell's corner rays ``x_p - x_i`` and ``x_q - x_i``, q
+        being the third corner.  Pass k offers each edge (i, j) the left
+        cell of the k-th edge of row i, and a running best per edge keeps
+        the smallest (key, cell): the key is -1 on wedge cells and the
         angle to the nearer ray otherwise.
         """
         return _mirror_cells(self)
