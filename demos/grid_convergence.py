@@ -9,9 +9,9 @@ climbing at these coarse levels; on finer grids L1 approaches 2 while the
 limiter holds L2 near 1.7 by clipping at the profile's crest -- the usual
 price of enforcing bounds.
 
-Levels 3-5 keep the runtime around two minutes; the solver damping sits
-below the limit-cycle threshold of these grids so every level converges,
-and each level starts from the previous solution interpolated.
+Levels 3-5 run in about a second.  Each level starts from the previous
+solution interpolated; the damping scales only the steps taken without
+mixing history, and every level converges.
 """
 
 from cdrfem import PROBLEMS, SolveOptions, convergence_study

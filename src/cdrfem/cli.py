@@ -96,9 +96,10 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=defaults.tol)
         p.add_argument("--max-iter", type=int, default=defaults.max_iter)
         p.add_argument("--damping", type=float, default=defaults.damping,
-                       help="mixing parameter beta in (0, 1] of the Anderson "
-                            "step; a step without history is the damped "
-                            "update (1 - beta) u + beta G(u)")
+                       help="damping beta in (0, 1] of the steps without "
+                            "mixing history (the first and each after a "
+                            "restart), the update (1 - beta) u + beta G(u); "
+                            "Anderson steps with history are undamped")
         p.add_argument("--tail-average", type=int,
                        default=defaults.tail_average,
                        help="when max-iter is exhausted, return the mean of "
