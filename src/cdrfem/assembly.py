@@ -137,15 +137,3 @@ def galerkin_residual(ops, u):
     flux = coef * (u[et.j] - u[et.i])
     res = ops.reaction_lumped * u + np.add.reduceat(flux, et.indptr[:-1]) - ops.b
     return res[:ops.num_free]
-
-
-def galerkin_row_residual(ops, u, i):
-    """Galerkin residual of one unknown row (0-based, i < num_free)."""
-    if not 0 <= i < ops.num_free:
-        raise ValueError(f"row {i} is not an unknown row")
-    et = ops.mesh.edges
-    lo, hi = et.indptr[i], et.indptr[i + 1]
-    coef = ops.diff_e[lo:hi] + ops.conv_e[lo:hi] + ops.reac_e[lo:hi]
-    return float(ops.reaction_lumped[i] * u[i]
-                 + np.sum(coef * (u[et.j[lo:hi]] - u[i])) - ops.b[i])
-

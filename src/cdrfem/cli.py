@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from .assembly import assemble
-from .benchmarks import PROBLEMS, convergence_study, error_norms, eoc, ErrorRecord
+from .benchmarks import PROBLEMS, convergence_study, error_norms, ErrorRecord
+from .limiter import LIMITERS, VARIANTS
 from .mesh import build_level0, classify_and_order, refine
-from .solver import LIMITERS, VARIANTS, SolveOptions, audit_dmp, solve
+from .solver import SolveOptions, audit_dmp, solve
 
 CSV_HEADER = "level,ndof,h,l2_error,eoc_l2,l1_error,eoc_l1,iterations,converged"
 
@@ -185,16 +186,16 @@ def run(argv=None):
         mesh = _make_mesh(args.grid, args.level, problem)
         ops = assemble(mesh, problem)
         report = solve(mesh, problem, options, ops=ops)
-        l1 = l2 = e1 = e2 = None
-        if problem.exact is not None:
-            l1, l2 = error_norms(mesh, report.u, problem.exact)
-        record = ErrorRecord(level=args.level, ndof=mesh.num_vertices,
-                             h=mesh.h, l1_error=l1, l2_error=l2,
-                             eoc_l1=e1, eoc_l2=e2,
-                             iterations=report.iterations,
-                             converged=report.converged)
 
         if args.command == "solve":
+            l1 = l2 = None
+            if problem.exact is not None:
+                l1, l2 = error_norms(mesh, report.u, problem.exact)
+            record = ErrorRecord(level=args.level, ndof=mesh.num_vertices,
+                                 h=mesh.h, l1_error=l1, l2_error=l2,
+                                 eoc_l1=None, eoc_l2=None,
+                                 iterations=report.iterations,
+                                 converged=report.converged)
             write_csv([record], os.path.join(args.outdir, "report.csv"))
             write_vtk(mesh, report.u, os.path.join(args.outdir, "solution.vtk"))
             if args.emit_audit:

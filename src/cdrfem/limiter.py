@@ -46,6 +46,9 @@ from typing import Optional
 
 import numpy as np
 
+LIMITERS = ("galerkin", "mc", "wmc")
+VARIANTS = ("full", "simplified")
+
 
 def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
     """Clip a target flux so both limited bar states stay in local bounds."""
@@ -79,6 +82,8 @@ class EdgeState:
     that remains after the limiter absorbed its share of the source.
     The balanced limiter's diagnostics ``R``, ``alpha`` and
     ``ubar_s_star`` feed no iterate; they are computed on first read.
+    ``R`` and ``alpha`` are the limiter's own factors even when
+    ``edge_state`` was given ``alpha_override``, which sets only ``alphaP``.
     """
 
     ei: np.ndarray
@@ -99,7 +104,6 @@ class EdgeState:
     fs_star: Optional[np.ndarray] = None
     bar_min: Optional[np.ndarray] = None       # per node
     bar_max: Optional[np.ndarray] = None       # per node
-    alpha_override: Optional[float] = None
     ctx: Optional["LimiterContext"] = field(default=None, repr=False)
 
     @cached_property
@@ -107,8 +111,6 @@ class EdgeState:
         """One-sided correction factors of the balanced limiter."""
         if self.P is None:
             return None
-        if self.alpha_override is not None:
-            return self.alpha
         return limiting_factor(self.P, self.Qp, self.Qm,
                                self.ctx.ops.b[self.ei], self.ctx.free_row)
 
@@ -117,8 +119,6 @@ class EdgeState:
         """Symmetric factors min(R_ij, R_ji) of the balancing fluxes."""
         if self.P is None:
             return None
-        if self.alpha_override is not None:
-            return np.full(len(self.P), float(self.alpha_override))
         return np.minimum(self.R, self.R[self.ctx.et.rev])
 
     @cached_property
@@ -218,13 +218,14 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
 
     ``variant`` applies to ``wmc`` only.  ``limit_fluxes=False`` skips the
     flux clip of ``mc`` and ``wmc``, and ``alpha_override`` replaces the
-    balanced limiter's factors; both exist for identity checks, not for
+    balanced limiter's factors in ``alphaP``, while ``R`` and ``alpha`` still
+    report the limiter's own; both exist for identity checks, not for
     production runs.
     """
-    if limiter not in ("galerkin", "mc", "wmc"):
+    if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     balanced = limiter == "wmc"
-    if balanced and variant not in ("full", "simplified"):
+    if balanced and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
 
     # the first access of grad_incr builds the mirror cells, before any
@@ -336,6 +337,5 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     return EdgeState(ei=et.i, ej=et.j, ubar=ubar, P=P, Qp=Qp, Qm=Qm,
                      alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
                      bar_min=bar_min, bar_max=bar_max, wflux=wflux,
-                     rhs=np.zeros(len(u)), alpha_override=alpha_override,
-                     ctx=ctx)
+                     rhs=np.zeros(len(u)), ctx=ctx)
 

@@ -25,16 +25,13 @@ returned solution is the check: the circular-layers run of criterion 6
 average passes the audit at residual 4.1e-6.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .assembly import assemble
-from .limiter import LimiterContext, edge_state
-
-LIMITERS = ("galerkin", "mc", "wmc")
-VARIANTS = ("full", "simplified")
+from .limiter import LIMITERS, VARIANTS, LimiterContext, edge_state
 
 # a residual norm this many times max(first norm, 1) counts as divergence
 DIVERGENCE_GROWTH = 1e8
@@ -102,7 +99,7 @@ class SolveReport:
     converged: bool
     iterations: int
     residual_history: np.ndarray
-    meta: dict = field(default_factory=dict)
+    restarts: int
     bound_check: Optional[dict] = None
 
 
@@ -172,8 +169,8 @@ def solve(mesh, problem, options=None, ops=None):
     ``max_iter`` is reported, not raised.  With ``tail_average`` set, a run
     that hits ``max_iter`` returns the mean over its final sweeps instead of
     the last iterate and appends that mean's residual to the history; the
-    converged flag then refers to the returned mean.  ``meta["restarts"]``
-    counts how often a residual norm above ``ANDERSON_RESTART`` times its
+    converged flag then refers to the returned mean.  ``restarts`` counts
+    how often a residual norm above ``ANDERSON_RESTART`` times its
     best value cleared the mixing history.
     """
     if options is None:
@@ -272,14 +269,7 @@ def solve(mesh, problem, options=None, ops=None):
 
     report = SolveReport(
         u=u, converged=converged, iterations=iterations,
-        residual_history=np.asarray(history),
-        meta={"problem": problem.name, "limiter": options.limiter,
-              "wb_variant": options.wb_variant if options.limiter == "wmc" else None,
-              "tol": options.tol, "max_iter": options.max_iter,
-              "damping": options.damping, "tail_average": tail,
-              "epsilon": problem.epsilon, "restarts": restarts,
-              "level": mesh.level, "ndof": mesh.num_vertices,
-              "num_free": mesh.num_free, "h": mesh.h})
+        residual_history=np.asarray(history), restarts=restarts)
     if options.check_bounds:
         report.bound_check = {"max_violation": bound_max,
                               "violations": bound_count}
@@ -313,44 +303,31 @@ def audit_dmp(report, mesh, ops, problem, slack=1e-10):
     m = mesh.num_free
     et = mesh.edges
     elliptic = problem.epsilon > 0.0
-
-    nb_max = np.maximum.reduceat(u[et.j], et.indptr[:-1])[:m]
-    nb_min = np.minimum.reduceat(u[et.j], et.indptr[:-1])[:m]
-    nb_max_pos = np.maximum(nb_max, 0.0)
-    nb_min_neg = np.minimum(nb_min, 0.0)
-
-    b = ops.b[:m]
+    uf, ud = u[:m], u[m:]
     no_reac = ops.reaction_lumped[:m] == 0.0
-    sink = b <= 0.0
-    rise = b >= 0.0
 
-    checks = [
-        _check("local_max_truncated", elliptic,
-               (u[:m] - nb_max_pos)[sink], slack),
-        _check("local_min_truncated", elliptic,
-               (nb_min_neg - u[:m])[rise], slack),
-        _check("local_max_zero_reaction", elliptic,
-               (u[:m] - nb_max)[sink & no_reac], slack),
-        _check("local_min_zero_reaction", elliptic,
-               (nb_min - u[:m])[rise & no_reac], slack),
-    ]
-
-    ud = u[m:]
-    ud_max_pos = float(np.maximum(ud, 0.0).max()) if ud.size else 0.0
-    ud_min_neg = float(np.minimum(ud, 0.0).min()) if ud.size else 0.0
-    all_reac_zero = bool(np.all(no_reac))
-    checks += [
-        _check("global_max_truncated", elliptic and bool(np.all(sink)),
-               u[:m] - ud_max_pos, slack),
-        _check("global_min_truncated", elliptic and bool(np.all(rise)),
-               ud_min_neg - u[:m], slack),
-        _check("global_max_zero_reaction",
-               elliptic and bool(np.all(sink)) and all_reac_zero and ud.size > 0,
-               u[:m] - (float(ud.max()) if ud.size else 0.0), slack),
-        _check("global_min_zero_reaction",
-               elliptic and bool(np.all(rise)) and all_reac_zero and ud.size > 0,
-               (float(ud.min()) if ud.size else 0.0) - u[:m], slack),
-    ]
+    # one rule for both sides: sign +1 bounds u from above where b <= 0,
+    # sign -1 from below where b >= 0; negating u - bound is exact
+    sides = []
+    for side, sign, extreme in (("max", 1.0, np.maximum),
+                                ("min", -1.0, np.minimum)):
+        ok = sign * ops.b[:m] <= 0.0
+        nb = extreme.reduceat(u[et.j], et.indptr[:-1])[:m]
+        bd = float(extreme.reduce(ud)) if ud.size else 0.0
+        glob = elliptic and bool(np.all(ok))
+        sides.append([
+            _check(f"local_{side}_truncated", elliptic,
+                   sign * (uf - extreme(nb, 0.0))[ok], slack),
+            _check(f"local_{side}_zero_reaction", elliptic,
+                   sign * (uf - nb)[ok & no_reac], slack),
+            _check(f"global_{side}_truncated", glob,
+                   sign * (uf - extreme(bd, 0.0)), slack),
+            _check(f"global_{side}_zero_reaction",
+                   glob and bool(np.all(no_reac)) and ud.size > 0,
+                   sign * (uf - bd), slack),
+        ])
+    # each check is reported for the max side, then for the min side
+    checks = [c for pair in zip(*sides) for c in pair]
 
     # positivity needs nonnegative data: sample the source where the
     # assembly sampled it and the boundary values at the Dirichlet nodes

@@ -315,6 +315,17 @@ def wb_limit(fs, d_ij, ubar_s_ij, ubar_s_ji, bmin_i, bmax_i, bmin_j, bmax_j,
     return np.where(fs > 0.0, pos, np.where(fs < 0.0, neg, 0.0))
 
 
+def galerkin_row_residual(ops, u, i):
+    """Galerkin residual of one unknown row (0-based, i < num_free)."""
+    if not 0 <= i < ops.num_free:
+        raise ValueError(f"row {i} is not an unknown row")
+    et = ops.mesh.edges
+    lo, hi = et.indptr[i], et.indptr[i + 1]
+    coef = ops.diff_e[lo:hi] + ops.conv_e[lo:hi] + ops.reac_e[lo:hi]
+    return float(ops.reaction_lumped[i] * u[i]
+                 + np.sum(coef * (u[et.j[lo:hi]] - u[i])) - ops.b[i])
+
+
 def row_residual(ops, state, u, i):
     """Single-row residual a_i u_i - sum_j (2 d_ij ubar*_ij - a_ij^D u_j) - rhs_i."""
     if not 0 <= i < ops.num_free:

@@ -12,7 +12,7 @@ import pytest
 
 from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp, build_level0,
                     classify_and_order, galerkin_residual, refine, solve)
-from cdrfem.assembly import galerkin_row_residual
+from oracles import galerkin_row_residual
 from cdrfem.cli import run
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import _initial_iterate, fixed_point_step, residual

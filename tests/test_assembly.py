@@ -3,10 +3,10 @@ import pytest
 
 from cdrfem import (Mesh, ProblemSpec, assemble, build_level0,
                     classify_and_order, galerkin_residual, refine)
-from cdrfem.assembly import DELTA, galerkin_row_residual
+from cdrfem.assembly import DELTA
 from cdrfem.benchmarks import PROBLEMS
 from oracles import (adjacency_edges, csr_assemble, dense_operators,
-                     node_cells)
+                     galerkin_row_residual, node_cells)
 
 
 def make_problem(epsilon=1.0, velocity=(0.0, 0.0), reaction=0.0, source=0.0):

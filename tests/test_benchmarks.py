@@ -195,4 +195,3 @@ def test_tail_average_takes_over_at_max_iter():
     # one residual per visited iterate plus one for the returned mean
     assert len(rep.residual_history) == 62
     assert np.isfinite(rep.residual_history[-1])
-    assert rep.meta["tail_average"] == 30
