@@ -36,11 +36,10 @@ def write_csv(records, path):
                       f"{r.iterations},{r.converged}\n")
 
 
-def write_vtk(mesh, u, path, title="cdrfem solution"):
+def write_vtk(mesh, u, path):
     """Legacy ASCII VTK unstructured grid with one point scalar field."""
     with open(path, "w") as out:
-        out.write("# vtk DataFile Version 2.0\n")
-        out.write(title + "\n")
+        out.write("# vtk DataFile Version 2.0\ncdrfem solution\n")
         out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         out.write(f"POINTS {mesh.num_vertices} double\n")
         out.writelines(f"{x:.17g} {y:.17g} 0\n"

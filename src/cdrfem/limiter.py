@@ -15,14 +15,13 @@ floor), and the limited fluxes are assembled from products of the form
 ``tests/oracles.py`` states the steps of both limiters as defined: the bar
 state and target flux of the plain limiter (``bar_state``,
 ``mc_target_flux``) and the steps of the balanced one (``limit_balancing``,
-``wb_bar_state``, ``wb_target_flux``, ``wb_limit``).  ``mc_limit`` and
-``limiting_factor`` stay here because ``edge_state`` and ``EdgeState`` call
-them.  ``edge_state`` evaluates the same arithmetic for all edges at once;
-where it regroups a step, the regrouping is exact (a negation, or a factor
-that is symmetric in i and j), so its fluxes agree with the helpers bit for
-bit.  All three limiters share one prefix, u_i, u_j, u_i - u_j and the bar
-state, computed by one rule.  The pass over the edges relies on these
-invariants:
+``wb_bar_state``, ``wb_target_flux``, ``wb_limit``).  Only ``mc_limit``
+stays here, because ``edge_state`` calls it.  ``edge_state`` evaluates the
+same arithmetic for all edges at once; where it regroups a step, the
+regrouping is exact (a negation, or a factor that is symmetric in i and j),
+so its fluxes agree with the helpers bit for bit.  All three limiters share
+one prefix, u_i, u_j, u_i - u_j and the bar state, computed by one rule.
+The pass over the edges relies on these invariants:
 
 * Unknowns come first and edges are sorted by their row, so the rows of
   free nodes own the prefix ``et.indptr[num_free]`` of the edge table.
@@ -36,8 +35,9 @@ invariants:
 * Edges into Dirichlet nodes have no opposite-side bound.  Infinite bounds
   on Dirichlet rows make that side drop out of the clip without a branch.
 * Sweep-invariant edge data live in ``LimiterContext``.  The diagnostics
-  ``R``, ``alpha`` and ``ubar_s_star`` feed no iterate and are computed
-  when read.
+  ``alpha`` and ``ubar_s_star`` feed no iterate and are computed when
+  read; ``alpha`` is read off ``alphaP``, the balancing flux the sweep
+  applied.
 """
 
 from dataclasses import dataclass, field
@@ -60,18 +60,6 @@ def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
     return np.where(f > 0.0, pos, np.where(f < 0.0, neg, 0.0))
 
 
-def limiting_factor(P, Qp, Qm, b, free):
-    """Correction factor R in [0, 1]; the flux route never divides by P."""
-    P = np.asarray(P, dtype=float)
-    one = np.ones_like(P)
-    # roundoff can push Q past zero by one ulp, so guard the ratio and clip
-    case_hi = free & (b <= 0.0) & (P > Qp) & (P != 0.0)
-    case_lo = free & (b >= 0.0) & (P < Qm) & (P != 0.0)
-    r = np.where(case_hi, Qp / np.where(case_hi, P, 1.0), one)
-    r = np.where(case_lo, Qm / np.where(case_lo, P, 1.0), r)
-    return np.clip(r, 0.0, 1.0)
-
-
 @dataclass
 class EdgeState:
     """All per-sweep edge quantities of one limiter evaluation.
@@ -79,11 +67,11 @@ class EdgeState:
     Per-edge arrays follow the directed edge table; per-node arrays are
     marked as such.  ``wflux`` is the product 2*d_ij*(limited bar state)
     that drives the row residuals, ``rhs`` the per-node right-hand side
-    that remains after the limiter absorbed its share of the source.
-    The balanced limiter's diagnostics ``R``, ``alpha`` and
-    ``ubar_s_star`` feed no iterate; they are computed on first read.
-    ``R`` and ``alpha`` are the limiter's own factors even when
-    ``edge_state`` was given ``alpha_override``, which sets only ``alphaP``.
+    that remains after the limiter absorbed its share of the source, and
+    ``rowsum`` the sums over j of wflux_ij - a_ij^D u_j, per unknown row.
+    The balanced limiter's diagnostics ``alpha`` and ``ubar_s_star`` feed
+    no iterate; they are computed on first read.  ``alpha`` is the factor
+    the state applied, ``alphaP / P``, also under ``alpha_override``.
     """
 
     ei: np.ndarray
@@ -91,6 +79,7 @@ class EdgeState:
     ubar: np.ndarray
     wflux: np.ndarray
     rhs: np.ndarray
+    rowsum: np.ndarray                         # per unknown row
     ftarget: Optional[np.ndarray] = None
     fstar: Optional[np.ndarray] = None
     umin: Optional[np.ndarray] = None          # per node
@@ -107,19 +96,15 @@ class EdgeState:
     ctx: Optional["LimiterContext"] = field(default=None, repr=False)
 
     @cached_property
-    def R(self):
-        """One-sided correction factors of the balanced limiter."""
-        if self.P is None:
-            return None
-        return limiting_factor(self.P, self.Qp, self.Qm,
-                               self.ctx.ops.b[self.ei], self.ctx.free_row)
-
-    @cached_property
     def alpha(self):
-        """Symmetric factors min(R_ij, R_ji) of the balancing fluxes."""
+        """Symmetric factors alpha_ij = alphaP_ij / P_ij of the balancing
+        fluxes, 1 where P_ij = 0.  The clip removes the sign flips of
+        alphaP at roundoff level where Q is one ulp past zero."""
         if self.P is None:
             return None
-        return np.minimum(self.R, self.R[self.ctx.et.rev])
+        ratio = np.divide(self.alphaP, self.P, out=np.ones_like(self.P),
+                          where=self.P != 0.0)
+        return np.clip(ratio, 0.0, 1.0, out=ratio)
 
     @cached_property
     def ubar_s_star(self):
@@ -163,6 +148,13 @@ class LimiterContext:
         """Per-node minimum and maximum of an edge array over each row."""
         table = values[self.row_table]
         return np.min(table, axis=0), np.max(table, axis=0)
+
+    def row_sums(self, wflux, uj):
+        """Sums over j of wflux_ij - a_ij^D u_j, per unknown row."""
+        nf = self.num_free_edges
+        terms = self.ops.diff_e[:nf] * uj[:nf]
+        np.subtract(wflux[:nf], terms, out=terms)
+        return np.add.reduceat(terms, self.et.indptr[:self.ops.num_free])
 
     @cached_property
     def f_node(self):
@@ -218,9 +210,8 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
 
     ``variant`` applies to ``wmc`` only.  ``limit_fluxes=False`` skips the
     flux clip of ``mc`` and ``wmc``, and ``alpha_override`` replaces the
-    balanced limiter's factors in ``alphaP``, while ``R`` and ``alpha`` still
-    report the limiter's own; both exist for identity checks, not for
-    production runs.
+    balanced limiter's factors in ``alphaP``, which ``alpha`` then reports;
+    both exist for identity checks, not for production runs.
     """
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
@@ -259,7 +250,8 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
         wflux = two_d * ubar
         wflux += f if fstar is None else fstar
         return EdgeState(ei=et.i, ej=et.j, ubar=ubar, ftarget=f, fstar=fstar,
-                         umin=umin, umax=umax, wflux=wflux, rhs=ops.b)
+                         umin=umin, umax=umax, wflux=wflux, rhs=ops.b,
+                         rowsum=ctx.row_sums(wflux, uj))
 
     s = ctx.f_node - ctx.c_node * u
     P = np.repeat(s, ctx.degree)
@@ -337,5 +329,6 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     return EdgeState(ei=et.i, ej=et.j, ubar=ubar, P=P, Qp=Qp, Qm=Qm,
                      alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
                      bar_min=bar_min, bar_max=bar_max, wflux=wflux,
-                     rhs=np.zeros(len(u)), ctx=ctx)
+                     rhs=np.zeros(len(u)), rowsum=ctx.row_sums(wflux, uj),
+                     ctx=ctx)
 

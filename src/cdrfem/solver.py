@@ -87,8 +87,10 @@ class SolveOptions:
             raise ValueError("check_bounds needs the balanced limiter 'wmc'; "
                              f"{self.limiter!r} has no limited bar states")
         guess = self.initial_guess
-        if not (isinstance(guess, np.ndarray)
-                or (isinstance(guess, str) and guess == "zero")):
+        if isinstance(guess, np.ndarray):
+            if guess.dtype.kind not in "biuf" or not np.isfinite(guess).all():
+                raise ValueError("initial_guess must be a finite real array")
+        elif not (isinstance(guess, str) and guess == "zero"):
             raise ValueError(f"initial_guess must be 'zero' or an array, "
                              f"got {guess!r}")
 
@@ -103,46 +105,23 @@ class SolveReport:
     bound_check: Optional[dict] = None
 
 
-def _gather(ops, state, u):
-    """Row sums of 2 d_ij ubar*_ij - a_ij^D u_j over the unknown rows.
-
-    Unknowns come first and edges are sorted by row, so the rows of the
-    unknowns own the leading ``indptr[num_free]`` edges.
-    """
-    et = ops.mesh.edges
-    m = ops.num_free
-    nf = et.indptr[m]
-    terms = ops.diff_e[:nf] * u[et.j[:nf]]
-    np.subtract(state.wflux[:nf], terms, out=terms)
-    return np.add.reduceat(terms, et.indptr[:m])
-
-
 def _norm(r):
     """Euclidean norm of r, summed by einsum: np.linalg.norm sums through
     BLAS dot, whose summation order depends on the BLAS thread count."""
     return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
-def residual(ops, state, u, gather=None):
-    """Row residuals of the frozen-state system over the unknown rows.
-
-    ``gather`` is ``_gather(ops, state, u)``; a solve passes it in, so the
-    gather is reduced once per sweep.
-    """
+def residual(ops, state, u):
+    """Row residuals of the frozen-state system over the unknown rows."""
     m = ops.num_free
-    g = _gather(ops, state, u) if gather is None else gather
-    return ops.row_weight[:m] * u[:m] - g - state.rhs[:m]
+    return ops.row_weight[:m] * u[:m] - state.rowsum - state.rhs[:m]
 
 
-def fixed_point_step(ops, state, u, gather=None):
-    """One undamped update of all unknowns; Dirichlet entries pass through.
-
-    ``gather`` is as in ``residual``.
-    """
+def fixed_point_step(ops, state, u):
+    """One undamped update of all unknowns; Dirichlet entries pass through."""
     m = ops.num_free
-    g = _gather(ops, state, u) if gather is None else gather
     unew = u.copy()
-    unew[:m] = (g + state.rhs[:m]) / ops.row_weight[:m]
+    unew[:m] = (state.rowsum + state.rhs[:m]) / ops.row_weight[:m]
     return unew
 
 
@@ -207,8 +186,7 @@ def solve(mesh, problem, options=None, ops=None):
     best = np.inf
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        gather = _gather(ops, state, u)
-        rnorm = _norm(residual(ops, state, u, gather))
+        rnorm = _norm(residual(ops, state, u))
         history.append(rnorm)
         limit = DIVERGENCE_GROWTH * max(history[0], 1.0)
         if not (np.isfinite(rnorm) and rnorm <= limit):
@@ -226,7 +204,7 @@ def solve(mesh, problem, options=None, ops=None):
             break
         if iterations >= options.max_iter:
             break
-        unew = fixed_point_step(ops, state, u, gather)
+        unew = fixed_point_step(ops, state, u)
         f = unew[:m] - u[:m]
         if dx is None:
             dx = np.empty((ANDERSON_DEPTH, m))

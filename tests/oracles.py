@@ -68,11 +68,10 @@ def lexsort_mirror_cells(mesh):
     return row_cell[order][first]
 
 
-def write_vtk_by_scalar(mesh, u, path, title="cdrfem solution"):
+def write_vtk_by_scalar(mesh, u, path):
     """``cli.write_vtk`` formatting one NumPy scalar per ``write`` call."""
     with open(path, "w") as out:
-        out.write("# vtk DataFile Version 2.0\n")
-        out.write(title + "\n")
+        out.write("# vtk DataFile Version 2.0\ncdrfem solution\n")
         out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         out.write(f"POINTS {mesh.num_vertices} double\n")
         for x, y in mesh.vertices:
@@ -270,6 +269,18 @@ def _r_abs_p(P, Qp, Qm, b, free):
     case_neg = (b < 0.0) | ((b == 0.0) & (P >= 0.0))
     rp = np.where(case_neg, sgn * np.minimum(P, Qp), sgn * np.maximum(P, Qm))
     return np.where(free, rp, np.abs(P))
+
+
+def limiting_factor(P, Qp, Qm, b, free):
+    """Correction factor R in [0, 1]; the flux route never divides by P."""
+    P = np.asarray(P, dtype=float)
+    one = np.ones_like(P)
+    # roundoff can push Q past zero by one ulp, so guard the ratio and clip
+    case_hi = free & (b <= 0.0) & (P > Qp) & (P != 0.0)
+    case_lo = free & (b >= 0.0) & (P < Qm) & (P != 0.0)
+    r = np.where(case_hi, Qp / np.where(case_hi, P, 1.0), one)
+    r = np.where(case_lo, Qm / np.where(case_lo, P, 1.0), r)
+    return np.clip(r, 0.0, 1.0)
 
 
 def limit_balancing(P_ij, P_ji, Qp_ij, Qm_ij, Qp_ji, Qm_ji, b_i, b_j,

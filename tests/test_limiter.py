@@ -3,12 +3,12 @@ import pytest
 
 from cdrfem import (PROBLEMS, ProblemSpec, assemble, build_level0,
                     classify_and_order, galerkin_residual, refine)
-from cdrfem.limiter import (LimiterContext, edge_state, limiting_factor,
-                            mc_limit)
+from cdrfem.limiter import LimiterContext, edge_state, mc_limit
 from cdrfem.solver import residual
 from oracles import (_r_abs_p, balancing_flux, bar_state, fictitious_value,
-                     limit_balancing, mc_target_flux, mirror_cell, net_source,
-                     wb_bar_state, wb_limit, wb_target_flux)
+                     limit_balancing, limiting_factor, mc_target_flux,
+                     mirror_cell, net_source, wb_bar_state, wb_limit,
+                     wb_target_flux)
 
 
 def setup_case(problem, grid_id=2, level=2):

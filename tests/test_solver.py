@@ -210,6 +210,8 @@ INVALID_OPTIONS = [
     {"tol": -1e-8}, {"tail_average": -1},
     {"max_iter": 10, "tail_average": 11},
     {"initial_guess": "random"}, {"initial_guess": "dirichlet-extension"},
+    {"initial_guess": np.array([0.0, np.nan])},
+    {"initial_guess": np.array(["0", "1"])},
     {"limiter": "mc", "check_bounds": True},
     {"limiter": "galerkin", "check_bounds": True},
 ]
@@ -249,16 +251,19 @@ def test_row_weights_positive_on_benchmarks():
         assert np.all(ops.row_weight[:mesh.num_free] > 0.0)
 
 
-def test_row_residual_matches_vector():
+@pytest.mark.parametrize("limiter", ["galerkin", "mc", "wmc"])
+def test_row_residual_matches_vector(limiter):
+    # the row sums that edge_state stores, for every unknown row
     prob = PROBLEMS["interior-layers"]()
     mesh = meshed(prob, level=2)
     ops = assemble(mesh, prob)
     ctx = LimiterContext(mesh, ops, prob)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(mesh.num_vertices)
-    st = edge_state(ctx, u)
+    st = edge_state(ctx, u, limiter)
     vec = residual(ops, st, u)
-    for i in (0, 3, mesh.num_free - 1):
+    assert vec.shape == (mesh.num_free,)
+    for i in range(mesh.num_free):
         assert row_residual(ops, st, u, i) == pytest.approx(vec[i], abs=1e-13)
     with pytest.raises(ValueError):
         row_residual(ops, st, u, mesh.num_free)
