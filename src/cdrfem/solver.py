@@ -6,9 +6,10 @@ then update each unknown from the weighted average
 
     u_i <- ( sum_j [ 2 d_ij ubar*_ij - a_ij^D u_j ] + rhs_i ) / a_i ,
 
-whose weights are nonnegative on weakly acute meshes.  ``solve`` reaches the
-fixed point of this map by type-II Anderson mixing (Walker & Ni, SINUM 49,
-2011) over the last ``ANDERSON_DEPTH`` differences of iterates and
+whose weights are nonnegative on weakly acute meshes.  ``solve`` evaluates
+this map and decides when to stop; the private mixer ``_Anderson`` turns each
+update into the next iterate by type-II Anderson mixing (Walker & Ni, SINUM
+49, 2011) over the last ``ANDERSON_DEPTH`` differences of iterates and
 corrections.  ``damping`` acts only on a step with an empty history (the
 first step and the step after each restart), which is the update above
 damped; a step that mixes a history is undamped, since a mixing parameter
@@ -19,10 +20,11 @@ unknown rows.
 
 A single update is a convex combination of its inputs, so it keeps the
 bar-state bounds; a mixed iterate is not, and nothing guarantees that it or
-a tail average of mixed iterates does.  The maximum-principle audit of a
-returned solution is the check: the circular-layers run of criterion 6
-(level 5, damping 0.25) does not converge in its 12 000 sweeps, and its tail
-average passes the audit at residual 4.1e-6.
+a tail average of mixed iterates does.  ``check_bounds`` covers every
+evaluated iterate, a returned tail mean included, and the maximum-principle
+audit of a returned solution is the check: the circular-layers run of
+criterion 6 (level 5, damping 0.25) does not converge in its 12 000 sweeps,
+and its tail average passes the audit at residual 4.1e-6.
 """
 
 from dataclasses import dataclass
@@ -105,12 +107,6 @@ class SolveReport:
     bound_check: Optional[dict] = None
 
 
-def _norm(r):
-    """Euclidean norm of r, summed by einsum: np.linalg.norm sums through
-    BLAS dot, whose summation order depends on the BLAS thread count."""
-    return float(np.sqrt(np.einsum("i,i->", r, r)))
-
-
 def residual(ops, state, u):
     """Row residuals of the frozen-state system over the unknown rows."""
     m = ops.num_free
@@ -138,6 +134,53 @@ def _initial_iterate(mesh, problem, guess):
     return u
 
 
+class _Anderson:
+    """The Anderson state of one solve: ring buffers of the last
+    ``ANDERSON_DEPTH`` iterate and correction differences, the Gram matrix
+    of the latter, and the previous iterate and correction, allocated at the
+    first step.  Its products are einsums, not BLAS calls, so their
+    summation order does not depend on the BLAS thread count."""
+
+    def __init__(self, m, beta):
+        self.m, self.beta = m, beta
+        self.dx = self.df = self.gram = self.u_prev = self.f_prev = None
+        self.stored = self.restarts = 0
+        self.best = np.inf
+
+    def step(self, u, unew, rnorm):
+        """The next iterate from u, its update unew = G(u) and the residual
+        norm at u; unew is modified in place and returned."""
+        m, depth = self.m, ANDERSON_DEPTH
+        f = unew[:m] - u[:m]
+        if self.dx is None:
+            self.dx = np.empty((depth, m))
+            self.df = np.empty((depth, m))
+            self.gram = np.empty((depth, depth))
+        elif rnorm > ANDERSON_RESTART * self.best:
+            self.restarts += self.stored > 0
+            self.stored = 0
+        else:
+            s = self.stored % depth
+            np.subtract(u[:m], self.u_prev, out=self.dx[s])
+            np.subtract(f, self.f_prev, out=self.df[s])
+            self.stored += 1
+            k = min(self.stored, depth)
+            self.gram[s, :k] = self.gram[:k, s] = np.einsum(
+                "km,m->k", self.df[:k], self.df[s])
+        self.best = min(self.best, rnorm)
+        self.u_prev, self.f_prev = u[:m], f
+        if self.stored:
+            # gamma = argmin |f - dF gamma|, step u + f - (dU + dF) gamma
+            k = min(self.stored, depth)
+            rhs = np.einsum("km,m->k", self.df[:k], f)
+            gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
+            unew[:m] -= np.einsum("k,km->m", gamma, self.dx[:k])
+            unew[:m] -= np.einsum("k,km->m", gamma, self.df[:k])
+        elif self.beta != 1.0:
+            unew[:m] = (1.0 - self.beta) * u[:m] + self.beta * unew[:m]
+        return unew
+
+
 def solve(mesh, problem, options=None, ops=None):
     """Solve one problem on a classified mesh.
 
@@ -147,10 +190,10 @@ def solve(mesh, problem, options=None, ops=None):
     catches a blowup before the norm overflows; plain non-convergence inside
     ``max_iter`` is reported, not raised.  With ``tail_average`` set, a run
     that hits ``max_iter`` returns the mean over its final sweeps instead of
-    the last iterate and appends that mean's residual to the history; the
-    converged flag then refers to the returned mean.  ``restarts`` counts
-    how often a residual norm above ``ANDERSON_RESTART`` times its
-    best value cleared the mixing history.
+    the last iterate, evaluated by the loop like an iterate: its residual
+    ends the history, the converged flag refers to it and ``check_bounds``
+    covers it.  ``restarts`` is read off the mixer: how often a residual
+    norm above ``ANDERSON_RESTART`` times its best cleared the history.
     """
     if options is None:
         options = SolveOptions()
@@ -166,27 +209,15 @@ def solve(mesh, problem, options=None, ops=None):
 
     ctx = LimiterContext(mesh, ops, problem)
     u = _initial_iterate(mesh, problem, guess)
-    beta = float(options.damping)
     tail = options.tail_average
-
-    m = mesh.num_free
-    history = []
-    bound_max = 0.0
-    bound_count = 0
-    iterations = 0
-    converged = False
-    acc, acc_n = None, 0
-    # Anderson state, allocated at the first step: ring buffers of the last
-    # ANDERSON_DEPTH iterate and correction differences, the Gram matrix of
-    # the correction differences, and the previous iterate and correction.
-    # Their products are einsums, not BLAS calls, so their summation order
-    # does not depend on the BLAS thread count
-    dx = df = gram = None
-    stored = restarts = 0
-    best = np.inf
+    mixer = _Anderson(mesh.num_free, float(options.damping))
+    history, acc, iterations = [], None, 0
+    bound_max, bound_count = 0.0, 0
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = _norm(residual(ops, state, u))
+        r = residual(ops, state, u)
+        # einsum: np.linalg.norm's BLAS dot sums in a thread-dependent order
+        rnorm = float(np.sqrt(np.einsum("i,i->", r, r)))
         history.append(rnorm)
         limit = DIVERGENCE_GROWTH * max(history[0], 1.0)
         if not (np.isfinite(rnorm) and rnorm <= limit):
@@ -199,55 +230,22 @@ def solve(mesh, problem, options=None, ops=None):
             worst = max(float(over.max()), float(under.max()))
             bound_max = max(bound_max, worst)
             bound_count += int(np.sum(over > 1e-12) + np.sum(under > 1e-12))
-        if rnorm <= options.tol:
-            converged = True
-            break
-        if iterations >= options.max_iter:
-            break
-        unew = fixed_point_step(ops, state, u)
-        f = unew[:m] - u[:m]
-        if dx is None:
-            dx = np.empty((ANDERSON_DEPTH, m))
-            df = np.empty((ANDERSON_DEPTH, m))
-            gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
-        elif rnorm > ANDERSON_RESTART * best:
-            restarts += stored > 0
-            stored = 0
-        else:
-            s = stored % ANDERSON_DEPTH
-            np.subtract(u[:m], u_prev, out=dx[s])
-            np.subtract(f, f_prev, out=df[s])
-            stored += 1
-            k = min(stored, ANDERSON_DEPTH)
-            gram[s, :k] = gram[:k, s] = np.einsum("km,m->k", df[:k], df[s])
-        best = min(best, rnorm)
-        u_prev, f_prev = u[:m], f
-        if stored:
-            # gamma minimises |f - dF gamma|; the step is u + f
-            # - (dU + dF) gamma
-            k = min(stored, ANDERSON_DEPTH)
-            rhs = np.einsum("km,m->k", df[:k], f)
-            gamma = np.linalg.lstsq(gram[:k, :k], rhs, rcond=None)[0]
-            unew[:m] -= np.einsum("k,km->m", gamma, dx[:k])
-            unew[:m] -= np.einsum("k,km->m", gamma, df[:k])
-        elif beta != 1.0:
-            unew[:m] = (1.0 - beta) * u[:m] + beta * unew[:m]
-        u = unew
+        converged = rnorm <= options.tol
+        if converged or iterations >= options.max_iter:
+            if converged or acc is None:
+                break
+            # the mean of the last tail iterates replaces the last one and
+            # is evaluated like any iterate
+            u, acc = acc / tail, None
+            continue
+        u = mixer.step(u, fixed_point_step(ops, state, u), rnorm)
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:
             acc = u.copy() if acc is None else acc + u
-            acc_n += 1
-
-    if not converged and acc is not None:
-        u = acc / acc_n
-        state = edge_state(ctx, u, options.limiter, options.wb_variant)
-        rnorm = _norm(residual(ops, state, u))
-        history.append(rnorm)
-        converged = rnorm <= options.tol
 
     report = SolveReport(
         u=u, converged=converged, iterations=iterations,
-        residual_history=np.asarray(history), restarts=restarts)
+        residual_history=np.asarray(history), restarts=mixer.restarts)
     if options.check_bounds:
         report.bound_check = {"max_violation": bound_max,
                               "violations": bound_count}

@@ -195,3 +195,18 @@ def test_tail_average_takes_over_at_max_iter():
     # one residual per visited iterate plus one for the returned mean
     assert len(rep.residual_history) == 62
     assert np.isfinite(rep.residual_history[-1])
+
+
+def test_tail_mean_is_mean_of_last_iterates():
+    # the returned mean is the running sum of the iterates after sweeps
+    # 9..12, divided by 4, byte for byte
+    p = PROBLEMS["circular-layers"]()
+    mesh = meshed(p, grid_id=1, level=3)
+    rep = solve(mesh, p, SolveOptions(damping=0.5, max_iter=12,
+                                      tail_average=4))
+    assert not rep.converged and rep.iterations == 12
+    acc = None
+    for k in range(9, 13):
+        u = solve(mesh, p, SolveOptions(damping=0.5, max_iter=k)).u
+        acc = u.copy() if acc is None else acc + u
+    assert np.array_equal((acc / 4).view(np.int64), rep.u.view(np.int64))

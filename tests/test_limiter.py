@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,18 +137,24 @@ def test_limit_balancing_cases():
 
 
 def test_limiting_factor_matches_flux_route():
+    # the division route and the flux route of the oracles agree on the P,
+    # Qp and Qm of production states (every benchmark, both grids, random
+    # iterates), and so does the alpha that edge_state reads off its
+    # applied balancing flux
     rng = np.random.default_rng(11)
-    n = 4000
-    P = rng.standard_normal(n)
-    Qp = np.abs(rng.standard_normal(n))
-    Qm = -np.abs(rng.standard_normal(n))
-    b = rng.standard_normal(n)
-    free = rng.random(n) < 0.9
-    R = limiting_factor(P, Qp, Qm, b, free)
-    assert np.all((R >= 0.0) & (R <= 1.0))
-    assert np.all(R[~free] == 1.0)
-    rp = _r_abs_p(P, Qp, Qm, b, free)
-    assert np.allclose(R * np.abs(P), rp, atol=1e-12)
+    for prob, grid_id in itertools.product(all_benchmarks(), (1, 2)):
+        mesh, ops, ctx = setup_case(prob, grid_id=grid_id)
+        b, free = ops.b[mesh.edges.i], ctx.free_row
+        for variant in ("full", "simplified"):
+            st = edge_state(ctx, random_iterate(mesh, prob, rng),
+                            variant=variant)
+            R = limiting_factor(st.P, st.Qp, st.Qm, b, free)
+            assert np.all((R >= 0.0) & (R <= 1.0))
+            assert np.all(R[~free] == 1.0)
+            rp = _r_abs_p(st.P, st.Qp, st.Qm, b, free)
+            assert np.allclose(R * np.abs(st.P), rp, atol=1e-12)
+            assert np.allclose(st.alpha * np.abs(st.P), np.abs(st.alphaP),
+                               atol=1e-12)
 
 
 def test_wb_bar_state_values():

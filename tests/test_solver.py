@@ -8,7 +8,8 @@ from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
                     build_level0, classify_and_order, refine, solve)
 from cdrfem.benchmarks import problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
-from cdrfem.solver import _initial_iterate, fixed_point_step, residual
+from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _initial_iterate,
+                           fixed_point_step, residual)
 from oracles import dense_operators, row_residual
 
 
@@ -293,6 +294,40 @@ def test_restarts_count_cleared_histories():
                  SolveOptions(initial_guess=prob.exact(x[:, 0], x[:, 1])))
     assert ramp.converged and ramp.iterations == 0
     assert ramp.restarts == 0
+
+
+def test_mixer_restart_takes_the_damped_update():
+    # a residual jump above ANDERSON_RESTART times the best one clears a
+    # non-empty history and counts as a restart; with an empty history the
+    # same jump counts nothing.  Either way the step is the damped update
+    rng = np.random.default_rng(7)
+    m, beta = 5, 0.5
+
+    def update(u):
+        unew = u.copy()
+        unew[:m] = 0.5 * u[:m] + 1.0
+        return unew
+
+    def damped(u):
+        unew = update(u)
+        unew[:m] = (1.0 - beta) * u[:m] + beta * unew[:m]
+        return unew
+
+    u0 = rng.standard_normal(m + 2)
+    mixer = _Anderson(m, beta)
+    u1 = mixer.step(u0, update(u0), 1.0)
+    assert np.array_equal(u1, damped(u0))
+    u2 = mixer.step(u1, update(u1), 0.5)
+    assert mixer.stored == 1 and not np.array_equal(u2, damped(u1))
+    jump = 1.01 * ANDERSON_RESTART * 0.5
+    assert np.array_equal(mixer.step(u2, update(u2), jump), damped(u2))
+    assert mixer.restarts == 1 and mixer.stored == 0
+
+    fresh = _Anderson(m, beta)
+    fresh.step(u0, update(u0), 1.0)
+    jump = 1.01 * ANDERSON_RESTART * 1.0
+    assert np.array_equal(fresh.step(u1, update(u1), jump), damped(u1))
+    assert fresh.restarts == 0 and fresh.stored == 0
 
 
 def test_check_bounds_instrumentation():

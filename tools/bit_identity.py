@@ -1,0 +1,169 @@
+"""Check that the working tree gives byte-identical results to a revision.
+
+    python3 tools/bit_identity.py --base REV
+
+exports REV with ``git archive`` into a temporary directory and runs the
+identity set below in that export and in this working tree, each in its own
+process with ``PYTHONPATH`` set to the tree's ``src``:
+
+* solves, compared on the bytes of ``u`` and ``residual_history`` and on
+  ``iterations``, ``converged``, ``restarts`` and ``bound_check``;
+* the criterion-8 ladder through the CLI at levels 3:5 (the ``ladder-cc``
+  benchmark workload): ``report.csv``, ``solution.vtk`` and stdout;
+* the stdout of every script in ``demos/``, each run from an empty
+  directory.
+
+It prints one ``equal`` or ``different`` line per case and exits 1 if any
+case differs.  The set takes about 10 s on a 2-vCPU machine.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (problem, grid, level, SolveOptions keywords)
+SOLVES = {
+    "equilibrium g1 L7": ("equilibrium", 1, 7, {}),
+    "mc boundary-layers g2 L5": ("boundary-layers", 2, 5, {"limiter": "mc"}),
+    "galerkin interior-layers g2 L4":
+        ("interior-layers", 2, 4, {"limiter": "galerkin"}),
+    "circular-layers g1 L5 tail mean":
+        ("circular-layers", 1, 5,
+         {"damping": 0.25, "max_iter": 600, "tail_average": 200}),
+    "boundary-layers g1 L4 check_bounds":
+        ("boundary-layers", 1, 4, {"check_bounds": True}),
+}
+
+LADDER_ARGS = ["convergence", "--problem", "circular-convection", "--grid",
+               "1", "--damping", "0.0625", "--max-iter", "16384",
+               "--tail-average", "9216", "--warm-start", "--emit-vtk",
+               "--levels", "3:5"]
+
+
+def _case_dir(out, name):
+    path = Path(out, name)
+    path.mkdir(parents=True)
+    return path
+
+
+def collect(tree, out):
+    """Run the identity set with the cdrfem on ``sys.path``; one directory
+    of result files per case under ``out``."""
+    import cdrfem.cli
+    from cdrfem import (PROBLEMS, SolveOptions, build_level0,
+                        classify_and_order, refine, solve)
+
+    for name, (pname, grid, level, kwargs) in SOLVES.items():
+        problem = PROBLEMS[pname]()
+        mesh = build_level0(grid)
+        for _ in range(level):
+            mesh = refine(mesh)
+        mesh = classify_and_order(mesh, problem)
+        path = _case_dir(out, name)
+        try:
+            rep = solve(mesh, problem, SolveOptions(**kwargs))
+        except Exception as err:  # a raising solve is a result to compare
+            (path / "error.txt").write_text(f"{type(err).__name__}: {err}\n")
+            continue
+        (path / "u.bin").write_bytes(rep.u.tobytes())
+        (path / "residual_history.bin").write_bytes(
+            rep.residual_history.tobytes())
+        scalars = {"iterations": rep.iterations,
+                   "converged": bool(rep.converged),
+                   "restarts": int(getattr(rep, "restarts", -1)),
+                   "bound_check": rep.bound_check}
+        (path / "scalars.json").write_text(json.dumps(scalars, indent=1))
+
+    path = _case_dir(out, "ladder-cc CLI levels 3:5")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cdrfem.cli.run(LADDER_ARGS + ["--outdir", str(path)])
+    (path / "stdout.txt").write_text(f"exit {code}\n" + stdout.getvalue())
+
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
+    for script in sorted(Path(tree, "demos").glob("*.py")):
+        path = _case_dir(out, f"demo {script.name}")
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([sys.executable, str(script)], cwd=cwd,
+                                  env=env, capture_output=True, text=True)
+        (path / "stdout.txt").write_text(
+            f"exit {proc.returncode}\n" + proc.stdout)
+
+
+def _export(rev, dest):
+    git = ["git", "-C", str(ROOT)]
+    if subprocess.run(git + ["rev-parse", "--verify", "--quiet",
+                             f"{rev}^{{commit}}"],
+                      capture_output=True).returncode:
+        raise SystemExit(f"not a revision: {rev}")
+    archive = subprocess.run(git + ["archive", rev], capture_output=True,
+                             check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
+
+
+def _files(case):
+    return {p.name: p.read_bytes() for p in case.iterdir()} if case else {}
+
+
+def _detail(case):
+    scalars = case / "scalars.json" if case else None
+    if scalars is None or not scalars.exists():
+        return ""
+    s = json.loads(scalars.read_text())
+    return (f" ({s['iterations']} sweeps, converged {s['converged']}, "
+            f"restarts {s['restarts']})")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True,
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--collect", nargs=2, metavar=("TREE", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        collect(*args.collect)
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp, "base")
+        base.mkdir()
+        _export(args.base, base)
+        outs, procs = {}, []
+        for label, tree in (("base", base), ("tree", ROOT)):
+            outs[label] = Path(tmp, f"out-{label}")
+            env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
+            procs.append(subprocess.Popen(
+                [sys.executable, __file__, "--base", args.base, "--collect",
+                 str(tree), str(outs[label])], env=env))
+        if any([p.wait() for p in procs]):
+            print("a collecting process failed", file=sys.stderr)
+            return 1
+
+        cases = {}
+        for label, out in outs.items():
+            for case in out.iterdir():
+                cases.setdefault(case.name, {})[label] = case
+        differ = 0
+        for name in sorted(cases):
+            pair = cases[name]
+            a, b = _files(pair.get("base")), _files(pair.get("tree"))
+            bad = sorted(k for k in a.keys() | b.keys()
+                         if a.get(k) != b.get(k))
+            differ += bool(bad)
+            verdict = f"different {bad}" if bad else "equal"
+            print(f"{verdict:10} {name}{_detail(pair.get('tree'))}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
