@@ -1,30 +1,35 @@
 """Fixed-point solution of the limited systems and maximum-principle audits.
 
 Every limiter (plain Galerkin, bar-state limiting, balanced limiting) is
-driven through the same map: freeze the edge states at the current iterate,
-then update each unknown from the weighted average
+driven through the same fixed point: freeze the edge states at the current
+iterate, then ask each unknown to equal the weighted average
 
-    u_i <- ( sum_j [ 2 d_ij ubar*_ij - a_ij^D u_j ] + rhs_i ) / a_i ,
+    u_i = ( sum_j [ 2 d_ij ubar*_ij - a_ij^D u_j ] + rhs_i ) / a_i ,
 
-whose weights are nonnegative on weakly acute meshes.  ``solve`` evaluates
-this map and decides when to stop; the private mixer ``_Anderson`` turns each
-update into the next iterate by type-II Anderson mixing (Walker & Ni, SINUM
-49, 2011) over the last ``ANDERSON_DEPTH`` differences of iterates and
-corrections.  ``damping`` acts only on a step with an empty history (the
-first step and the step after each restart), which is the update above
-damped; a step that mixes a history is undamped, since a mixing parameter
-below 1 mostly slows a history that already extrapolates (Evans, Pollock,
-Rebholz & Xiao, SINUM 58, 2020).  Dirichlet values are pinned throughout.
-Convergence is declared on the Euclidean norm of the row residuals over the
-unknown rows.
+whose weights are nonnegative on weakly acute meshes.  ``fixed_point_step``
+is this update: a single one is a convex combination of its inputs, so it
+keeps the bar-state bounds (criterion 9).  ``solve`` evaluates the row
+residuals r(u) of the same equations and decides when to stop; its
+correction is f = -P^-1 r(u), where P^-1 is one symmetric multicolour
+Gauss-Seidel sweep, started from zero, on the constant low-order M-matrix L
+of the free rows (``_GaussSeidel``; the "fixed_point_rhs" iteration of Jha
+& John, CAMWA 78, 2019).  The private mixer ``_Anderson`` turns each
+correction into the next iterate by type-II Anderson mixing (Walker & Ni,
+SINUM 49, 2011) over the last ``ANDERSON_DEPTH`` differences of iterates
+and corrections.  ``damping`` acts only on a step with an empty history (the
+first step and the step after each restart), u + beta f; a step that mixes
+a history is undamped, since a mixing parameter below 1 mostly slows a
+history that already extrapolates (Evans, Pollock, Rebholz & Xiao, SINUM 58,
+2020).  Dirichlet values are pinned throughout.  Convergence is declared on
+the Euclidean norm of the row residuals over the unknown rows.
 
-A single update is a convex combination of its inputs, so it keeps the
-bar-state bounds; a mixed iterate is not, and nothing guarantees that it or
-a tail average of mixed iterates does.  ``check_bounds`` covers every
-evaluated iterate, a returned tail mean included, and the maximum-principle
-audit of a returned solution is the check: the circular-layers run of
-criterion 6 (level 5, damping 0.25) does not converge in its 12 000 sweeps,
-and its tail average passes the audit at residual 4.1e-6.
+Neither a preconditioned step nor a mixed iterate is a convex combination,
+and nothing guarantees that it or a tail average of iterates keeps the
+bar-state bounds.  ``check_bounds`` covers every evaluated iterate, a
+returned tail mean included, and the maximum-principle audit of a returned
+solution is the check: the circular-layers run of criterion 6 (level 5,
+damping 0.25) does not converge in its 12 000 sweeps, and its tail average
+passes the audit at residual 3.9e-6.
 """
 
 from dataclasses import dataclass
@@ -52,9 +57,9 @@ class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 30000
     # beta of the steps taken with an empty mixing history (the first step
-    # and each step after a restart): the damped update (1 - beta) u +
-    # beta G(u).  A step with history is the undamped Anderson step u + f -
-    # (dU + dF) gamma, where f = G(u) - u
+    # and each step after a restart): the damped step u + beta f, f the
+    # preconditioned correction.  A step with history is the undamped
+    # Anderson step u + f - (dU + dF) gamma
     damping: float = 1.0
     initial_guess: Union[str, np.ndarray] = "zero"
     check_bounds: bool = False
@@ -114,7 +119,9 @@ def residual(ops, state, u):
 
 
 def fixed_point_step(ops, state, u):
-    """One undamped update of all unknowns; Dirichlet entries pass through."""
+    """One undamped update of all unknowns; Dirichlet entries pass through.
+    ``solve`` corrects by the residual instead; this is the update whose
+    convex-combination property criterion 9 checks."""
     m = ops.num_free
     unew = u.copy()
     unew[:m] = (state.rowsum + state.rhs[:m]) / ops.row_weight[:m]
@@ -134,6 +141,68 @@ def _initial_iterate(mesh, problem, guess):
     return u
 
 
+def _greedy_colours(ptr, lower):
+    """Greedy colouring in node order: node k takes the smallest colour that
+    none of its lower neighbours ``lower[ptr[k]:ptr[k + 1]]`` holds."""
+    ptr, lower = ptr.tolist(), lower.tolist()
+    colour = []
+    for k in range(len(ptr) - 1):
+        taken = {colour[j] for j in lower[ptr[k]:ptr[k + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour.append(c)
+    return np.array(colour, dtype=np.int32)
+
+
+class _GaussSeidel:
+    """One symmetric multicolour Gauss-Seidel sweep, started from zero, on
+    the low-order operator L of the free rows and free columns:
+
+        L_ii = a_i - sum_j (d_ij + conv_ij),
+        L_ij = -(d_ij - conv_ij - diff_ij)  (j a free neighbour of i).
+
+    L_ii > 0 >= L_ij, and a row of L with its Dirichlet columns sums to the
+    lumped reaction.  The free nodes are coloured greedily, so no two
+    neighbours share a colour and each colour is updated at once; per colour
+    ``groups`` holds its rows, its free-column edges' columns, their row
+    position within the colour and L_ij, and the rows' L_ii.  The colours run
+    forward, then backward without the last one, whose second update would
+    change nothing."""
+
+    def __init__(self, ops):
+        self.m = m = ops.num_free
+        et = ops.mesh.edges
+        nf = int(et.indptr[m])
+        i, j = et.i[:nf], et.j[:nf]
+        d, conv, diff = ops.d_e[:nf], ops.conv_e[:nf], ops.diff_e[:nf]
+        diag = ops.row_weight[:m] - np.add.reduceat(d + conv, et.indptr[:m])
+        lower = j < i
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(i[lower],
+                                                         minlength=m))))
+        self.colour = _greedy_colours(ptr, j[lower])
+        # the colour of each free-column edge's row, -1 on Dirichlet columns
+        edge_colour = np.where(j < m, self.colour[i], -1)
+        position = np.empty(m, dtype=np.int32)
+        self.groups = []
+        for c in range(int(self.colour.max()) + 1):
+            rows = np.flatnonzero(self.colour == c).astype(np.int32)
+            position[rows] = np.arange(len(rows), dtype=np.int32)
+            e = np.flatnonzero(edge_colour == c)
+            self.groups.append((rows, j[e].astype(np.int32), position[i[e]],
+                                -(d[e] - conv[e] - diff[e]), diag[rows]))
+
+    def correction(self, r):
+        """f = -P^-1 r: the sweep applied to L f = -r from f = 0."""
+        f = np.zeros(self.m)
+        last = len(self.groups) - 1
+        for c in [*range(last + 1), *range(last - 1, -1, -1)]:
+            rows, cols, pos, off, diag = self.groups[c]
+            s = np.bincount(pos, off * f[cols], minlength=len(rows))
+            f[rows] = -(r[rows] + s) / diag
+        return f
+
+
 class _Anderson:
     """The Anderson state of one solve: ring buffers of the last
     ``ANDERSON_DEPTH`` iterate and correction differences, the Gram matrix
@@ -147,11 +216,10 @@ class _Anderson:
         self.stored = self.restarts = 0
         self.best = np.inf
 
-    def step(self, u, unew, rnorm):
-        """The next iterate from u, its update unew = G(u) and the residual
-        norm at u; unew is modified in place and returned."""
+    def step(self, u, f, rnorm):
+        """The next iterate from u, its correction f over the unknowns and
+        the residual norm at u; f must not change afterwards."""
         m, depth = self.m, ANDERSON_DEPTH
-        f = unew[:m] - u[:m]
         if self.dx is None:
             self.dx = np.empty((depth, m))
             self.df = np.empty((depth, m))
@@ -169,15 +237,17 @@ class _Anderson:
                 "km,m->k", self.df[:k], self.df[s])
         self.best = min(self.best, rnorm)
         self.u_prev, self.f_prev = u[:m], f
+        unew = u.copy()
         if self.stored:
             # gamma = argmin |f - dF gamma|, step u + f - (dU + dF) gamma
             k = min(self.stored, depth)
             rhs = np.einsum("km,m->k", self.df[:k], f)
             gamma = np.linalg.lstsq(self.gram[:k, :k], rhs, rcond=None)[0]
+            unew[:m] += f
             unew[:m] -= np.einsum("k,km->m", gamma, self.dx[:k])
             unew[:m] -= np.einsum("k,km->m", gamma, self.df[:k])
-        elif self.beta != 1.0:
-            unew[:m] = (1.0 - self.beta) * u[:m] + self.beta * unew[:m]
+        else:
+            unew[:m] += self.beta * f
         return unew
 
 
@@ -194,6 +264,8 @@ def solve(mesh, problem, options=None, ops=None):
     ends the history, the converged flag refers to it and ``check_bounds``
     covers it.  ``restarts`` is read off the mixer: how often a residual
     norm above ``ANDERSON_RESTART`` times its best cleared the history.
+    The colour groups of the correction are built at its first use, so a
+    solve that stops at sweep 0 builds none.
     """
     if options is None:
         options = SolveOptions()
@@ -211,6 +283,7 @@ def solve(mesh, problem, options=None, ops=None):
     u = _initial_iterate(mesh, problem, guess)
     tail = options.tail_average
     mixer = _Anderson(mesh.num_free, float(options.damping))
+    precond = None
     history, acc, iterations = [], None, 0
     bound_max, bound_count = 0.0, 0
     while True:
@@ -238,7 +311,9 @@ def solve(mesh, problem, options=None, ops=None):
             # is evaluated like any iterate
             u, acc = acc / tail, None
             continue
-        u = mixer.step(u, fixed_point_step(ops, state, u), rnorm)
+        if precond is None:
+            precond = _GaussSeidel(ops)
+        u = mixer.step(u, precond.correction(r), rnorm)
         iterations += 1
         if tail > 0 and iterations > options.max_iter - tail:
             acc = u.copy() if acc is None else acc + u

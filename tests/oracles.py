@@ -346,3 +346,34 @@ def row_residual(ops, state, u, i):
     a = (ops.reaction_lumped[i] + ops.art_row[i] - np.sum(ops.diff_e[lo:hi]))
     gather = np.sum(state.wflux[lo:hi] - ops.diff_e[lo:hi] * u[et.j[lo:hi]])
     return float(a * u[i] - gather - state.rhs[i])
+
+
+def low_order_matrix(mesh, problem):
+    """The low-order matrix of ``problem`` on all nodes, dense: D + C with
+    the lumped reaction on the diagonal, minus the artificial diffusion
+    d_ij = max(|c_ij|, |c_ji|, DELTA h) of every neighbour pair, whose
+    negated row sum goes onto the diagonal."""
+    D, C, R, _ = dense_operators(mesh, problem)
+    n = mesh.num_vertices
+    near = np.zeros((n, n), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        near[mesh.cells[:, a], mesh.cells[:, b]] = True
+        near[mesh.cells[:, b], mesh.cells[:, a]] = True
+    art = np.where(near, np.maximum(np.maximum(np.abs(C), np.abs(C.T)),
+                                    DELTA * mesh.h), 0.0)
+    L = D + C - art
+    L[np.diag_indices(n)] += R.sum(axis=1) + art.sum(axis=1)
+    return L
+
+
+def block_gauss_seidel(A, colour, rhs):
+    """One symmetric block Gauss-Seidel sweep on A x = rhs from x = 0: the
+    blocks are the colour classes, solved densely in the order 0, 1, ...,
+    k, then k - 1, ..., 0."""
+    x = np.zeros(len(rhs))
+    k = int(colour.max())
+    for c in [*range(k + 1), *range(k - 1, -1, -1)]:
+        own = colour == c
+        x[own] = np.linalg.solve(A[np.ix_(own, own)],
+                                 rhs[own] - A[np.ix_(own, ~own)] @ x[~own])
+    return x

@@ -92,14 +92,14 @@ def test_epsilon_override_rules(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_runtime_failures_exit_two(tmp_path, capsys):
+def test_runtime_failures_exit_two(tmp_path, capsys, growing_map):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")
     code = run(["solve", "--problem", "equilibrium", "--level", "1",
                 "--outdir", str(blocker / "sub")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
-    # the plain central scheme blows up on this convection-dominated case
+    # a map whose residual grows by construction trips the growth guard
     code = run(["solve", "--problem", "equilibrium", "--limiter",
                 "galerkin", "--level", "3", "--outdir", str(tmp_path)])
     assert code == 2
@@ -153,7 +153,7 @@ def test_emit_vtk_writes_the_reported_iterate(tmp_path, capsys):
     # the finest level stops at max-iter from a warm start, so only the
     # study's own iterate reproduces the errors in its table
     code = run(["convergence", "--problem", "circular-convection",
-                "--levels", "1:2", "--damping", "0.5", "--max-iter", "30",
+                "--levels", "1:2", "--damping", "0.5", "--max-iter", "15",
                 "--warm-start", "--emit-vtk", "--outdir", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
@@ -216,7 +216,7 @@ def test_solve_emit_audit_writes_both(tmp_path):
 
 def test_nonconverged_solve_still_succeeds(tmp_path, capsys):
     code = run(["solve", "--problem", "circular-convection", "--level", "3",
-                "--max-iter", "40", "--damping", "0.5",
+                "--max-iter", "20", "--damping", "0.5",
                 "--outdir", str(tmp_path)])
     assert code == 0
     row = lines_of(tmp_path / "report.csv")[1]

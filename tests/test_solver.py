@@ -8,9 +8,10 @@ from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
                     build_level0, classify_and_order, refine, solve)
 from cdrfem.benchmarks import problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
-from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _initial_iterate,
-                           fixed_point_step, residual)
-from oracles import dense_operators, row_residual
+from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _GaussSeidel,
+                           _initial_iterate, residual)
+from oracles import (block_gauss_seidel, dense_operators, low_order_matrix,
+                     row_residual)
 
 
 def const(val):
@@ -101,14 +102,65 @@ def test_tilted_ramp_reached_from_zero(vhat, grid_id):
 
 def test_ladder_options_sweep_count():
     # the criterion-8 ladder options on one cold level: guards the strength
-    # of the iteration, which takes 123 sweeps here (plain damped Jacobi
-    # needs 3640, and Anderson mixing with every step damped 621)
+    # of the iteration, which takes 61 sweeps here (123 with the Jacobi
+    # correction, 621 with every Anderson step damped, and 3640 for plain
+    # damped Jacobi sweeps)
     prob = PROBLEMS["circular-convection"]()
     mesh = meshed(prob, grid_id=1, level=4)
     rep = solve(mesh, prob, SolveOptions(damping=0.0625, max_iter=16384,
                                          tail_average=9216))
     assert rep.converged
-    assert rep.iterations < 300
+    assert rep.iterations < 100
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_equilibrium_sweep_count(grid_id):
+    # the Gauss-Seidel correction takes 51 / 63 sweeps here, the Jacobi
+    # correction -r/a 124 / 165
+    prob = PROBLEMS["equilibrium"]()
+    mesh = meshed(prob, grid_id, level=4)
+    rep = solve(mesh, prob)
+    assert rep.converged
+    assert rep.iterations < 100
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_correction_matches_dense_gauss_seidel(grid_id):
+    # circular-layers has diffusion, convection and reaction
+    prob = PROBLEMS["circular-layers"]()
+    mesh = meshed(prob, grid_id, level=3)
+    ops = assemble(mesh, prob)
+    m = mesh.num_free
+    L = low_order_matrix(mesh, prob)
+    off = L - np.diag(np.diag(L))
+    assert np.all(np.diag(L)[:m] > 0.0) and np.all(off[:m] <= 0.0)
+    assert np.any(ops.reaction_lumped[:m] > 0.0)
+    np.testing.assert_allclose(L[:m].sum(axis=1), ops.reaction_lumped[:m],
+                               rtol=0.0, atol=1e-13 * np.abs(L).max())
+
+    gs = _GaussSeidel(ops)
+    for c in range(int(gs.colour.max()) + 1):
+        own = np.flatnonzero(gs.colour == c)
+        assert not np.any(off[np.ix_(own, own)])
+    r = np.random.default_rng(3).standard_normal(m)
+    want = block_gauss_seidel(L[:m, :m], gs.colour, -r)
+    assert np.abs(gs.correction(r) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
+    prob = PROBLEMS["equilibrium"]()
+    mesh = meshed(prob, level=3)
+
+    def no_groups(ops):
+        raise AssertionError("colour groups built")
+
+    monkeypatch.setattr(cdrfem.solver, "_GaussSeidel", no_groups)
+    x = mesh.vertices
+    rep = solve(mesh, prob,
+                SolveOptions(initial_guess=prob.exact(x[:, 0], x[:, 1])))
+    assert rep.converged and rep.iterations == 0
+    with pytest.raises(AssertionError, match="colour groups built"):
+        solve(mesh, prob, SolveOptions(max_iter=1))
 
 
 def test_max_iter_reports_nonconvergence():
@@ -121,19 +173,32 @@ def test_max_iter_reports_nonconvergence():
     assert np.all(np.isfinite(rep.u))
 
 
+def dense_correction(mesh, prob, ops):
+    """u -> the correction f = -P^-1 r(u) of the unknowns, P^-1 the
+    symmetric block Gauss-Seidel sweep on the dense low-order matrix in the
+    production colour order."""
+    m = mesh.num_free
+    L = low_order_matrix(mesh, prob)[:m, :m]
+    colour = _GaussSeidel(ops).colour
+    ctx = LimiterContext(mesh, ops, prob)
+    return lambda u: block_gauss_seidel(
+        L, colour, -residual(ops, edge_state(ctx, u), u))
+
+
 @pytest.mark.parametrize("damping", [1.0, 0.25])
-def test_first_step_is_damped_jacobi(damping):
-    # with no history to mix, the step is the damped fixed-point update
+def test_first_step_is_damped_correction(damping):
+    # with no history to mix, the step is u0 + beta f0
     prob = PROBLEMS["interior-layers"]()
     mesh = meshed(prob, level=3)
     ops = assemble(mesh, prob)
+    correction = dense_correction(mesh, prob, ops)
     u0 = _initial_iterate(mesh, prob, "zero")
-    unew = fixed_point_step(ops, edge_state(LimiterContext(mesh, ops, prob),
-                                            u0), u0)
+    u1 = u0.copy()
+    u1[:mesh.num_free] += damping * correction(u0)
     rep = solve(mesh, prob, SolveOptions(damping=damping, max_iter=1),
                 ops=ops)
     assert rep.iterations == 1
-    assert np.array_equal(rep.u, (1.0 - damping) * u0 + damping * unew)
+    np.testing.assert_allclose(rep.u, u1, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("damping", [1.0, 0.25])
@@ -143,16 +208,14 @@ def test_mixing_step_is_undamped(damping):
     prob = PROBLEMS["interior-layers"]()
     mesh = meshed(prob, level=3)
     ops = assemble(mesh, prob)
-    ctx = LimiterContext(mesh, ops, prob)
+    correction = dense_correction(mesh, prob, ops)
     m = mesh.num_free
 
-    def update(u):
-        return fixed_point_step(ops, edge_state(ctx, u), u)
-
     u0 = _initial_iterate(mesh, prob, "zero")
-    u1 = (1.0 - damping) * u0 + damping * update(u0)
-    f0 = (update(u0) - u0)[:m]
-    f1 = (update(u1) - u1)[:m]
+    f0 = correction(u0)
+    u1 = u0.copy()
+    u1[:m] += damping * f0
+    f1 = correction(u1)
     du, dfv = u1[:m] - u0[:m], f1 - f0
     gamma = (dfv @ f1) / (dfv @ dfv)
     u2 = u1.copy()
@@ -234,7 +297,7 @@ def test_invalid_options_rejected(kwargs):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_divergence_raises():
+def test_divergence_raises(growing_map):
     # the growth guard stops the run long before the residual norm overflows
     prob = PROBLEMS["equilibrium"]()
     mesh = meshed(prob, level=3)
@@ -242,6 +305,18 @@ def test_divergence_raises():
         solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=20000))
     sweeps = int(re.search(r"after (\d+) sweeps", str(err.value)).group(1))
     assert sweeps < 1000
+
+
+def test_galerkin_equilibrium_stays_bounded():
+    # the plain central scheme on this convection-dominated case diverged
+    # under the Jacobi correction; under the Gauss-Seidel correction its
+    # residual never exceeds the first one and the iterate stays finite
+    prob = PROBLEMS["equilibrium"]()
+    mesh = meshed(prob, level=3)
+    rep = solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=2000))
+    assert np.all(np.isfinite(rep.u))
+    assert rep.residual_history.max() <= rep.residual_history[0]
+    assert np.abs(rep.u).max() <= 1.01
 
 
 def test_row_weights_positive_on_benchmarks():
@@ -303,30 +378,28 @@ def test_mixer_restart_takes_the_damped_update():
     rng = np.random.default_rng(7)
     m, beta = 5, 0.5
 
-    def update(u):
-        unew = u.copy()
-        unew[:m] = 0.5 * u[:m] + 1.0
-        return unew
+    def correction(u):
+        return 1.0 - 0.5 * u[:m]
 
     def damped(u):
-        unew = update(u)
-        unew[:m] = (1.0 - beta) * u[:m] + beta * unew[:m]
+        unew = u.copy()
+        unew[:m] += beta * correction(u)
         return unew
 
     u0 = rng.standard_normal(m + 2)
     mixer = _Anderson(m, beta)
-    u1 = mixer.step(u0, update(u0), 1.0)
+    u1 = mixer.step(u0, correction(u0), 1.0)
     assert np.array_equal(u1, damped(u0))
-    u2 = mixer.step(u1, update(u1), 0.5)
+    u2 = mixer.step(u1, correction(u1), 0.5)
     assert mixer.stored == 1 and not np.array_equal(u2, damped(u1))
     jump = 1.01 * ANDERSON_RESTART * 0.5
-    assert np.array_equal(mixer.step(u2, update(u2), jump), damped(u2))
+    assert np.array_equal(mixer.step(u2, correction(u2), jump), damped(u2))
     assert mixer.restarts == 1 and mixer.stored == 0
 
     fresh = _Anderson(m, beta)
-    fresh.step(u0, update(u0), 1.0)
+    fresh.step(u0, correction(u0), 1.0)
     jump = 1.01 * ANDERSON_RESTART * 1.0
-    assert np.array_equal(fresh.step(u1, update(u1), jump), damped(u1))
+    assert np.array_equal(fresh.step(u1, correction(u1), jump), damped(u1))
     assert fresh.restarts == 0 and fresh.stored == 0
 
 
