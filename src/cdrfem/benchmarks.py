@@ -11,7 +11,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .assembly import Operators
 from .mesh import BOTTOM, Mesh
+from .solver import SolveReport
 
 
 @dataclass
@@ -244,9 +246,9 @@ def eoc(err_coarse, err_fine):
 class ErrorRecord:
     """One row of a convergence table.
 
-    ``mesh`` and ``u`` hold the level's classified mesh and the solution
-    the row describes, in mesh ordering, when the row comes from
-    ``convergence_study``.
+    When the row comes from ``convergence_study``, ``mesh``, ``ops`` and
+    ``report`` hold the level's classified mesh, its assembled operators and
+    the ``SolveReport`` the row describes (``report.u`` in mesh ordering).
     """
     level: int
     ndof: int
@@ -258,7 +260,9 @@ class ErrorRecord:
     iterations: int
     converged: bool
     mesh: Optional[Mesh] = field(default=None, repr=False, compare=False)
-    u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    ops: Optional[Operators] = field(default=None, repr=False, compare=False)
+    report: Optional[SolveReport] = field(default=None, repr=False,
+                                          compare=False)
 
 
 def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
@@ -326,5 +330,5 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
                                    eoc_l1=e1, eoc_l2=e2,
                                    iterations=report.iterations,
                                    converged=report.converged,
-                                   mesh=mesh, u=report.u))
+                                   mesh=mesh, ops=ops, report=report))
     return records

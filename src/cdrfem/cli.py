@@ -13,11 +13,9 @@ import sys
 
 import numpy as np
 
-from .assembly import assemble
-from .benchmarks import PROBLEMS, convergence_study, error_norms, ErrorRecord
+from .benchmarks import PROBLEMS, convergence_study
 from .limiter import LIMITERS, VARIANTS
-from .mesh import build_level0, classify_and_order, refine
-from .solver import SolveOptions, audit_dmp, solve
+from .solver import SolveOptions, audit_dmp
 
 CSV_HEADER = "level,ndof,h,l2_error,eoc_l2,l1_error,eoc_l1,iterations,converged"
 
@@ -138,13 +136,6 @@ def _make_problem(args):
     return factory(epsilon=args.epsilon)
 
 
-def _make_mesh(grid, level, problem):
-    mesh = build_level0(grid)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return classify_and_order(mesh, problem)
-
-
 def _options(args):
     return SolveOptions(limiter=args.limiter, wb_variant=args.wb_variant,
                         tol=args.tol, max_iter=args.max_iter,
@@ -175,26 +166,18 @@ def run(argv=None):
             write_csv(records, os.path.join(args.outdir, "report.csv"))
             if args.emit_vtk:
                 finest = records[-1]
-                write_vtk(finest.mesh, finest.u,
+                write_vtk(finest.mesh, finest.report.u,
                           os.path.join(args.outdir, "solution.vtk"))
             for r in records:
                 print(f"level {r.level}: ndof {r.ndof} iterations "
                       f"{r.iterations} converged {r.converged}")
             return 0
 
-        mesh = _make_mesh(args.grid, args.level, problem)
-        ops = assemble(mesh, problem)
-        report = solve(mesh, problem, options, ops=ops)
+        [record] = convergence_study(problem, args.grid, [args.level],
+                                     options)
+        mesh, ops, report = record.mesh, record.ops, record.report
 
         if args.command == "solve":
-            l1 = l2 = None
-            if problem.exact is not None:
-                l1, l2 = error_norms(mesh, report.u, problem.exact)
-            record = ErrorRecord(level=args.level, ndof=mesh.num_vertices,
-                                 h=mesh.h, l1_error=l1, l2_error=l2,
-                                 eoc_l1=None, eoc_l2=None,
-                                 iterations=report.iterations,
-                                 converged=report.converged)
             write_csv([record], os.path.join(args.outdir, "report.csv"))
             write_vtk(mesh, report.u, os.path.join(args.outdir, "solution.vtk"))
             if args.emit_audit:
