@@ -274,7 +274,7 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     grid_id : int
         Coarse layout, 1 or 2.
     levels : iterable of int
-        Consecutive refinement levels, ascending.
+        Consecutive nonnegative refinement levels, ascending; at least one.
     options : SolveOptions, optional
     warm_start : bool
         Start each level from the previous level's solution, extended to the
@@ -294,8 +294,10 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     if options is None:
         options = SolveOptions()
     levels = list(levels)
-    if levels != sorted(levels) or any(b - a != 1 for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be consecutive and ascending")
+    if not levels or levels[0] < 0 or any(
+            b - a != 1 for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be nonnegative, consecutive and "
+                         "ascending")
 
     base = build_level0(grid_id)
     for _ in range(levels[0]):

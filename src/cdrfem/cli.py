@@ -59,13 +59,20 @@ def write_audit(checks, path):
                       f"{c.max_violation:.17g}\n")
 
 
+def _parse_level(text):
+    level = int(text)
+    if level < 0:
+        raise argparse.ArgumentTypeError("levels must be nonnegative")
+    return level
+
+
 def _parse_levels(text):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError("levels must be given as LO:HI")
-    lo, hi = int(lo), int(hi)
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError("levels must satisfy 0 <= LO <= HI")
+    lo, hi = _parse_level(lo), _parse_level(hi)
+    if hi < lo:
+        raise argparse.ArgumentTypeError("levels must satisfy LO <= HI")
     return list(range(lo, hi + 1))
 
 
@@ -84,7 +91,7 @@ def _build_parser():
             p.add_argument("--levels", type=_parse_levels, required=True,
                            metavar="LO:HI")
         else:
-            p.add_argument("--level", type=int, default=4)
+            p.add_argument("--level", type=_parse_level, default=4)
         p.add_argument("--limiter", default=defaults.limiter,
                        choices=LIMITERS)
         p.add_argument("--wb-variant", default=defaults.wb_variant,
@@ -202,3 +209,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

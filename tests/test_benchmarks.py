@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import cdrfem.solver
-from cdrfem import (PROBLEMS, SolveOptions, build_level0, classify_and_order,
-                    convergence_study, eoc, error_norms, refine, solve)
+from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp, build_level0,
+                    classify_and_order, convergence_study, eoc, error_norms,
+                    refine, solve)
 from cdrfem.benchmarks import problem_boundary_layers
 
 
@@ -174,6 +175,28 @@ def test_convergence_study_rejects_bad_levels():
         convergence_study(p, 1, [3, 5], SolveOptions())
     with pytest.raises(ValueError):
         convergence_study(p, 1, [4, 3], SolveOptions())
+    with pytest.raises(ValueError):
+        convergence_study(p, 1, [-1, 0], SolveOptions())
+    with pytest.raises(ValueError):
+        convergence_study(p, 1, [], SolveOptions())
+
+
+def test_level_record_carries_its_solve():
+    # the record's operators and report are those of a direct solve on the
+    # same classified mesh, byte for byte, and audit the same way
+    p = PROBLEMS["interior-layers"]()
+    opts = SolveOptions(damping=0.5)
+    [rec] = convergence_study(p, 2, [3], opts)
+    mesh = meshed(p, grid_id=2, level=3)
+    assert np.array_equal(rec.mesh.vertices, mesh.vertices)
+    rep = solve(mesh, p, opts)
+    assert rec.report.u.tobytes() == rep.u.tobytes()
+    assert (rec.report.residual_history.tobytes()
+            == rep.residual_history.tobytes())
+    assert rec.iterations == rep.iterations
+    assert rec.converged == rep.converged
+    assert (audit_dmp(rec.report, rec.mesh, rec.ops, p)
+            == audit_dmp(rep, mesh, assemble(mesh, p), p))
 
 
 def test_equilibrium_ramp_is_reproduced():

@@ -1,11 +1,17 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdrfem
 from cdrfem import (PROBLEMS, SolveOptions, build_level0, classify_and_order,
-                    error_norms, refine)
-from cdrfem.cli import CSV_HEADER, _build_parser, _options, run, write_vtk
+                    convergence_study, error_norms, refine)
+from cdrfem.cli import (CSV_HEADER, _build_parser, _options, run, write_csv,
+                        write_vtk)
 from oracles import write_vtk_by_scalar
 
 
@@ -75,7 +81,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                 "--levels", "3"]) == 1          # must be LO:HI
     assert run(["convergence", "--problem", "equilibrium",
                 "--levels", "4:2"]) == 1
+    outdir = tmp_path / "out"
+    for command in ("solve", "audit"):
+        assert run([command, "--problem", "equilibrium", "--level", "-1",
+                    "--outdir", str(outdir)]) == 1
+        assert not outdir.exists()           # rejected before any work
     capsys.readouterr()
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = Path(cdrfem.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "cdrfem.cli", "solve",
+                           "--problem", "equilibrium", "--level", "2",
+                           "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert lines_of(tmp_path / "report.csv")[0] == CSV_HEADER
 
 
 def test_epsilon_override_rules(tmp_path, capsys):
@@ -203,6 +225,17 @@ def test_audit_subcommand(tmp_path, capsys):
         assert int(violations) >= 0
         assert np.isfinite(float(worst))
     assert "positivity" in capsys.readouterr().out
+
+
+def test_solve_report_is_a_one_level_study(tmp_path, capsys):
+    args = ["--problem", "boundary-layers", "--level", "3"]
+    assert run(["solve"] + args + ["--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    options = _options(_build_parser().parse_args(["solve"] + args))
+    [rec] = convergence_study(PROBLEMS["boundary-layers"](), 1, [3], options)
+    write_csv([rec], tmp_path / "study.csv")
+    assert (tmp_path / "report.csv").read_bytes() == \
+        (tmp_path / "study.csv").read_bytes()
 
 
 def test_solve_emit_audit_writes_both(tmp_path):

@@ -28,19 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+from bit_identity import _export
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
-
-
-def _export(rev, dest):
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                             capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
-                   check=True)
 
 
 def _run(tree, workload, seed, seconds):

@@ -8,8 +8,10 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
 
 * solves, compared on the bytes of ``u`` and ``residual_history`` and on
   ``iterations``, ``converged``, ``restarts`` and ``bound_check``;
-* the criterion-8 ladder through the CLI at levels 3:5 (the ``ladder-cc``
-  benchmark workload): ``report.csv``, ``solution.vtk`` and stdout;
+* CLI runs through ``cdrfem.cli.run``, compared on every file they write
+  and on stdout: the criterion-8 ladder at levels 3:5 (the ``ladder-cc``
+  benchmark workload), two single-level ``solve`` runs, one with an exact
+  solution and one without, and one ``audit`` run;
 * the stdout of every script in ``demos/``, each run from an empty
   directory.
 
@@ -42,10 +44,22 @@ SOLVES = {
         ("boundary-layers", 1, 4, {"check_bounds": True}),
 }
 
-LADDER_ARGS = ["convergence", "--problem", "circular-convection", "--grid",
-               "1", "--damping", "0.0625", "--max-iter", "16384",
-               "--tail-average", "9216", "--warm-start", "--emit-vtk",
-               "--levels", "3:5"]
+# name -> CLI arguments without --outdir
+CLI_RUNS = {
+    "ladder-cc CLI levels 3:5":
+        ["convergence", "--problem", "circular-convection", "--grid", "1",
+         "--damping", "0.0625", "--max-iter", "16384", "--tail-average",
+         "9216", "--warm-start", "--emit-vtk", "--levels", "3:5"],
+    "CLI solve boundary-layers L4":
+        ["solve", "--problem", "boundary-layers", "--level", "4",
+         "--emit-audit"],
+    "CLI solve interior-layers g2 L3":
+        ["solve", "--problem", "interior-layers", "--grid", "2", "--level",
+         "3", "--damping", "0.5", "--emit-audit"],
+    "CLI audit circular-layers L4":
+        ["audit", "--problem", "circular-layers", "--level", "4",
+         "--damping", "0.5"],
+}
 
 
 def _case_dir(out, name):
@@ -82,11 +96,12 @@ def collect(tree, out):
                    "bound_check": rep.bound_check}
         (path / "scalars.json").write_text(json.dumps(scalars, indent=1))
 
-    path = _case_dir(out, "ladder-cc CLI levels 3:5")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cdrfem.cli.run(LADDER_ARGS + ["--outdir", str(path)])
-    (path / "stdout.txt").write_text(f"exit {code}\n" + stdout.getvalue())
+    for name, argv in CLI_RUNS.items():
+        path = _case_dir(out, name)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cdrfem.cli.run(argv + ["--outdir", str(path)])
+        (path / "stdout.txt").write_text(f"exit {code}\n" + stdout.getvalue())
 
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
     for script in sorted(Path(tree, "demos").glob("*.py")):
