@@ -231,8 +231,8 @@ def test_solve_report_is_a_one_level_study(tmp_path, capsys):
     args = ["--problem", "boundary-layers", "--level", "3"]
     assert run(["solve"] + args + ["--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
-    options = _options(_build_parser().parse_args(["solve"] + args))
-    [rec] = convergence_study(PROBLEMS["boundary-layers"](), 1, [3], options)
+    [rec] = convergence_study(PROBLEMS["boundary-layers"](), 1, [3],
+                              SolveOptions())
     write_csv([rec], tmp_path / "study.csv")
     assert (tmp_path / "report.csv").read_bytes() == \
         (tmp_path / "study.csv").read_bytes()
