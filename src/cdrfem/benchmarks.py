@@ -37,6 +37,11 @@ class ProblemSpec:
     neumann_sides: tuple = ()
     exact: Optional[Callable] = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got "
+                             f"{self.epsilon}")
+
 
 def _zero(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))

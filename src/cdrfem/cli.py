@@ -138,8 +138,6 @@ def _make_problem(args):
     if args.problem == "circular-convection":
         raise ValueError("circular-convection is a pure transport problem; "
                          "--epsilon is not supported")
-    if args.epsilon < 0.0:
-        raise ValueError("--epsilon must be nonnegative")
     return factory(epsilon=args.epsilon)
 
 

@@ -2,7 +2,8 @@
 
 Each is a plain, earlier or scalar form of a production routine, or a
 definition written step by step as the scheme states it; the tests require
-the production routine to reproduce it.
+the production routine to reproduce it.  The meshes, problems and iterates
+the tests run on are built in ``cases``.
 """
 
 import numpy as np

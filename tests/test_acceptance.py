@@ -10,12 +10,13 @@ twice, as the determinism criterion demands.
 import numpy as np
 import pytest
 
-from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp, build_level0,
-                    classify_and_order, galerkin_residual, refine, solve)
-from oracles import galerkin_row_residual
+from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
+                    galerkin_residual, solve)
 from cdrfem.cli import run
-from cdrfem.limiter import LimiterContext, edge_state
+from cdrfem.limiter import edge_state
 from cdrfem.solver import _initial_iterate, fixed_point_step, residual
+from cases import classified, limiter_case, random_iterate, row_scale
+from oracles import galerkin_row_residual
 
 # iteration setup for the circular-convection ladder (criteria 8 and 10).
 # The damping acts only on steps without mixing history, and every level
@@ -27,11 +28,6 @@ C8_ARGS = ["convergence", "--problem", "circular-convection", "--grid", "1",
            "--levels", "3:7", "--damping", "0.0625", "--max-iter", "16384",
            "--tail-average", "9216", "--warm-start"]
 
-# damping that converges each benchmark at the levels used below
-OMEGA = {"interior-layers": 0.5, "boundary-layers": 1.0,
-         "circular-layers": 0.5, "circular-convection": 0.125,
-         "equilibrium": 1.0}
-
 
 def report(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} -- {detail}"
@@ -39,32 +35,10 @@ def report(num, ok, detail):
     assert ok, line
 
 
-def meshed(problem, grid_id, level):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return classify_and_order(mesh, problem)
-
-
-def random_iterate(mesh, problem, rng, spread=1.0):
-    u = spread * rng.standard_normal(mesh.num_vertices)
-    xd = mesh.vertices[mesh.num_free:]
-    u[mesh.num_free:] = problem.dirichlet(xd[:, 0], xd[:, 1])
-    return u
-
-
-def row_scale(ops, state, u):
-    et = ops.mesh.edges
-    m = ops.num_free
-    mags = np.add.reduceat(np.abs(state.wflux) + np.abs(ops.diff_e * u[et.j]),
-                           et.indptr[:-1])
-    return 1.0 + mags[:m] + np.abs(state.rhs[:m])
-
-
 @pytest.fixture(scope="module")
 def interior_l5():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, 1, 5)
+    mesh = classified(prob, 1, 5)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(damping=0.5, max_iter=20000),
                 ops=ops)
@@ -93,9 +67,7 @@ def test_criterion_01_flux_form_equivalence():
     worst = 0.0
     for name in sorted(PROBLEMS):
         prob = PROBLEMS[name]()
-        mesh = meshed(prob, 2, 2)
-        ops = assemble(mesh, prob)
-        ctx = LimiterContext(mesh, ops, prob)
+        mesh, ops, ctx = limiter_case(prob, 2, 2)
         for _ in range(100):
             u = random_iterate(mesh, prob, rng)
             gal = galerkin_residual(ops, u)
@@ -117,13 +89,12 @@ def test_criterion_02_well_balance():
     prob = PROBLEMS["equilibrium"]()
     worst_u = worst_alpha = worst_flux = 0.0
     for grid in (1, 2):
-        mesh = meshed(prob, grid, 4)
-        ops = assemble(mesh, prob)
+        mesh, ops, ctx = limiter_case(prob, grid, 4)
         rep = solve(mesh, prob, SolveOptions(tol=1e-10), ops=ops)
         assert rep.converged
         uhat = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
         worst_u = max(worst_u, float(np.abs(rep.u - uhat).max()))
-        st = edge_state(LimiterContext(mesh, ops, prob), uhat)
+        st = edge_state(ctx, uhat)
         worst_alpha = max(worst_alpha, float(np.abs(st.alpha - 1.0).max()))
         worst_flux = max(worst_flux, float(np.abs(st.fs_star).max()))
     ok = worst_u <= 1e-7 and worst_alpha <= 1e-13 and worst_flux <= 1e-13
@@ -138,10 +109,9 @@ def test_criterion_03_bar_state_bounds_every_iterate():
     total = 0
     for name in sorted(PROBLEMS):
         prob = PROBLEMS[name]()
-        mesh = meshed(prob, 1, 4)
+        mesh = classified(prob, 1, 4)
         rep = solve(mesh, prob,
-                    SolveOptions(damping=OMEGA[name], max_iter=20000,
-                                 check_bounds=True))
+                    SolveOptions(max_iter=20000, check_bounds=True))
         worst = max(worst, rep.bound_check["max_violation"])
         total += rep.bound_check["violations"]
     report(3, total == 0 and worst <= 1e-12,
@@ -156,9 +126,7 @@ def test_criterion_04_limiter_algebra():
     worst_anti = worst_gap = 0.0
     for name, grid in (("interior-layers", 2), ("circular-layers", 1)):
         prob = PROBLEMS[name]()
-        mesh = meshed(prob, grid, 4)
-        ops = assemble(mesh, prob)
-        ctx = LimiterContext(mesh, ops, prob)
+        mesh, ops, ctx = limiter_case(prob, grid, 4)
         et = mesh.edges
         free = ctx.free_row
         both_free = free & free[et.rev]
@@ -209,7 +177,7 @@ def test_criterion_06_local_dmp_audit(interior_l5):
     prob, mesh, ops, rep = interior_l5
     cases = [(prob, mesh, ops, rep)]
     layers = PROBLEMS["circular-layers"]()
-    lmesh = meshed(layers, 1, 5)
+    lmesh = classified(layers, 1, 5)
     lops = assemble(lmesh, layers)
     lrep = solve(lmesh, layers,
                  SolveOptions(damping=0.25, max_iter=12000, tail_average=2048),
@@ -254,10 +222,8 @@ def test_criterion_09_bound_preserving_sweeps():
     worst = 0.0
     for name in ("boundary-layers", "equilibrium"):
         prob = PROBLEMS[name]()
-        mesh = meshed(prob, 1, 3)
-        ops = assemble(mesh, prob)
+        mesh, ops, ctx = limiter_case(prob, 1, 3)
         assert np.all(ops.reaction_lumped == 0.0)
-        ctx = LimiterContext(mesh, ops, prob)
         et = mesh.edges
         m = mesh.num_free
         u = _initial_iterate(mesh, prob, "zero")

@@ -1,33 +1,16 @@
 import numpy as np
 import pytest
 
-from cdrfem import (Mesh, ProblemSpec, assemble, build_level0,
-                    classify_and_order, galerkin_residual, refine)
+from cdrfem import (Mesh, assemble, build_level0, classify_and_order,
+                    galerkin_residual, refine)
 from cdrfem.assembly import DELTA
 from cdrfem.benchmarks import PROBLEMS
+from cases import classified, constant_problem
 from oracles import (adjacency_edges, csr_assemble, dense_operators,
                      galerkin_row_residual, node_cells)
 
 
-def make_problem(epsilon=1.0, velocity=(0.0, 0.0), reaction=0.0, source=0.0):
-    vx0, vy0 = velocity
-
-    def shaped(x, value):
-        return np.full_like(np.asarray(x, dtype=float), value)
-
-    return ProblemSpec(
-        name="probe", epsilon=epsilon,
-        velocity=lambda x, y: (shaped(x, vx0), shaped(x, vy0)),
-        reaction=lambda x, y: shaped(x, reaction),
-        source=lambda x, y: shaped(x, source),
-        dirichlet=lambda x, y: shaped(x, 0.0))
-
-
-def classified(grid_id, level, problem):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return classify_and_order(mesh, problem)
+DIFFUSION = constant_problem(1.0, (0.0, 0.0), 0.0, 0.0)
 
 
 def unit_triangle(num_free=0):
@@ -41,13 +24,14 @@ def at_edges(mesh, dense):
 
 
 def test_unit_triangle_diffusion():
-    ops = assemble(unit_triangle(), make_problem(epsilon=1.0))
+    ops = assemble(unit_triangle(), DIFFUSION)
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.array_equal(ops.diff_e, at_edges(ops.mesh, want))
 
 
 def test_unit_triangle_mass():
-    ops = assemble(unit_triangle(), make_problem(reaction=2.0))
+    prob = constant_problem(1.0, (0.0, 0.0), 2.0, 0.0)
+    ops = assemble(unit_triangle(), prob)
     area = 0.5
     want = 2.0 * (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
     assert np.allclose(ops.reac_e, at_edges(ops.mesh, want), atol=1e-15)
@@ -55,15 +39,16 @@ def test_unit_triangle_mass():
 
 
 def test_unit_triangle_convection():
-    ops = assemble(unit_triangle(), make_problem(velocity=(1.0, 0.0)))
+    prob = constant_problem(1.0, (1.0, 0.0), 0.0, 0.0)
+    ops = assemble(unit_triangle(), prob)
     gx = np.array([-1.0, 1.0, 0.0])
     want = np.tile(gx / 6.0, (3, 1))
     assert np.allclose(ops.conv_e, at_edges(ops.mesh, want), atol=1e-15)
 
 
 def test_row_sums():
-    prob = make_problem(epsilon=0.5, velocity=(2.0, 3.0), reaction=1.0)
-    mesh = classified(2, 2, prob)
+    prob = constant_problem(0.5, (2.0, 3.0), 1.0, 0.0)
+    mesh = classified(prob, 2, 2)
     ops = assemble(mesh, prob)
     _, _, R, _ = dense_operators(mesh, prob)
     # reaction row sums integrate c against each hat function
@@ -72,22 +57,22 @@ def test_row_sums():
 
 
 def test_symmetry():
-    prob = make_problem(epsilon=1e-2, velocity=(1.0, -2.0), reaction=3.0)
-    ops = assemble(classified(1, 2, prob), prob)
+    prob = constant_problem(1e-2, (1.0, -2.0), 3.0, 0.0)
+    ops = assemble(classified(prob, 1, 2), prob)
     rev = ops.mesh.edges.rev
     for values in (ops.diff_e, ops.reac_e, ops.d_e):
         assert np.array_equal(values, values[rev])
 
 
 def test_offdiagonal_signs():
-    prob = make_problem(epsilon=1.0, velocity=(1.0, 0.0))
-    ops = assemble(classified(2, 2, prob), prob)
+    prob = constant_problem(1.0, (1.0, 0.0), 0.0, 0.0)
+    ops = assemble(classified(prob, 2, 2), prob)
     assert np.all(ops.diff_e <= 1e-14)
 
 
 def test_artificial_diffusion_definition():
-    prob = make_problem(velocity=(1.0, 0.5))
-    mesh = classified(2, 1, prob)
+    prob = constant_problem(1.0, (1.0, 0.5), 0.0, 0.0)
+    mesh = classified(prob, 2, 1)
     ops = assemble(mesh, prob)
     et = mesh.edges
     want = np.maximum(np.maximum(np.abs(ops.conv_e), np.abs(ops.conv_e[et.rev])),
@@ -101,16 +86,15 @@ def test_artificial_diffusion_definition():
 
 
 def test_artificial_diffusion_floor():
-    prob = make_problem(velocity=(0.0, 0.0))
-    mesh = classified(1, 1, prob)
+    prob = DIFFUSION
+    mesh = classified(prob, 1, 1)
     ops = assemble(mesh, prob)
     assert np.all(ops.d_e == DELTA * mesh.h)
 
 
 def test_dense_oracle_agreement():
-    prob = make_problem(epsilon=0.7, velocity=(2.0, 3.0), reaction=1.5,
-                        source=2.0)
-    mesh = classified(2, 1, prob)
+    prob = constant_problem(0.7, (2.0, 3.0), 1.5, 2.0)
+    mesh = classified(prob, 2, 1)
     ops = assemble(mesh, prob)
     D, C, R, b = dense_operators(mesh, prob)
     assert np.allclose(ops.diff_e, at_edges(mesh, D), atol=1e-14)
@@ -150,9 +134,8 @@ def test_edges_and_operators_match_csr_oracle(grid_id):
 
 
 def test_row_residual_matches_dense():
-    prob = make_problem(epsilon=0.3, velocity=(1.0, 2.0), reaction=0.5,
-                        source=1.0)
-    mesh = classified(2, 1, prob)
+    prob = constant_problem(0.3, (1.0, 2.0), 0.5, 1.0)
+    mesh = classified(prob, 2, 1)
     ops = assemble(mesh, prob)
     D, C, R, _ = dense_operators(mesh, prob)
     A = D + C + R
@@ -168,24 +151,24 @@ def test_row_residual_matches_dense():
 
 
 def test_row_residual_constant_state():
-    prob = make_problem(epsilon=1.0, velocity=(1.0, 1.0))
-    mesh = classified(1, 2, prob)
+    prob = constant_problem(1.0, (1.0, 1.0), 0.0, 0.0)
+    mesh = classified(prob, 1, 2)
     ops = assemble(mesh, prob)
     u = np.full(mesh.num_vertices, 4.0)
     assert np.max(np.abs(galerkin_residual(ops, u))) < 1e-14
 
 
 def test_row_residual_range():
-    prob = make_problem()
-    ops = assemble(classified(1, 1, prob), prob)
+    prob = DIFFUSION
+    ops = assemble(classified(prob, 1, 1), prob)
     u = np.zeros(ops.mesh.num_vertices)
     with pytest.raises(ValueError):
         galerkin_row_residual(ops, u, ops.num_free)
 
 
 def test_source_vector():
-    prob = make_problem(source=1.0)
-    mesh = classified(1, 2, prob)
+    prob = constant_problem(1.0, (0.0, 0.0), 0.0, 1.0)
+    mesh = classified(prob, 1, 2)
     ops = assemble(mesh, prob)
     # f = 1 gives one third of the support area per node
     cptr, cdata = node_cells(mesh)
@@ -196,8 +179,8 @@ def test_source_vector():
 
 
 def test_negative_reaction_rejected():
-    prob = make_problem(reaction=-1.0)
-    mesh = classified(1, 1, prob)
+    prob = constant_problem(1.0, (0.0, 0.0), -1.0, 0.0)
+    mesh = classified(prob, 1, 1)
     with pytest.raises(ValueError):
         assemble(mesh, prob)
 
@@ -206,10 +189,10 @@ def test_obtuse_mesh_rejected():
     mesh = Mesh([(0.0, 0.0), (4.0, 0.0), (2.0, 0.2)], [(0, 1, 2)],
                 [(0, 1), (1, 2), (2, 0)], [0, 1, 3], num_free=0)
     with pytest.raises(ValueError, match="weakly acute"):
-        assemble(mesh, make_problem(epsilon=1.0))
+        assemble(mesh, DIFFUSION)
 
 
 def test_unclassified_mesh_rejected():
     with pytest.raises(ValueError):
-        assemble(build_level0(1), make_problem())
+        assemble(build_level0(1), DIFFUSION)
 

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 import cdrfem.solver
-from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp, build_level0,
-                    classify_and_order, convergence_study, eoc, error_norms,
-                    refine, solve)
-from cdrfem.benchmarks import problem_boundary_layers
-
-
-def meshed(problem, grid_id=1, level=2):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return classify_and_order(mesh, problem)
+from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
+                    convergence_study, eoc, error_norms, solve)
+from cdrfem.benchmarks import problem_boundary_layers, problem_equilibrium
+from cases import classified
 
 
 def test_interior_layers_coefficients():
@@ -42,6 +35,9 @@ def test_boundary_layers_values():
         problem_boundary_layers(epsilon=0.0)
     with pytest.raises(ValueError):
         problem_boundary_layers(epsilon=-1e-3)
+    # ProblemSpec itself rejects a non-finite diffusion coefficient
+    with pytest.raises(ValueError, match="finite"):
+        problem_equilibrium(epsilon=float("nan"))
 
 
 def test_boundary_layers_source_against_finite_differences():
@@ -97,7 +93,7 @@ def test_problem_purity():
 
 def test_error_norms_interpolated_linear():
     p = PROBLEMS["equilibrium"]()
-    mesh = meshed(p, level=3)
+    mesh = classified(p, 1, 3)
     exact = lambda x, y: 0.25 + 0.5 * x - 1.5 * y
     u = exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
     l1, l2 = error_norms(mesh, u, exact)
@@ -106,7 +102,7 @@ def test_error_norms_interpolated_linear():
 
 def test_error_norms_constant_and_ramp():
     p = PROBLEMS["equilibrium"]()
-    mesh = meshed(p, level=3)
+    mesh = classified(p, 1, 3)
     zero = np.zeros(mesh.num_vertices)
     l1, l2 = error_norms(mesh, zero, lambda x, y: np.ones_like(x))
     assert l1 == pytest.approx(1.0, abs=1e-13)
@@ -187,7 +183,7 @@ def test_level_record_carries_its_solve():
     p = PROBLEMS["interior-layers"]()
     opts = SolveOptions(damping=0.5)
     [rec] = convergence_study(p, 2, [3], opts)
-    mesh = meshed(p, grid_id=2, level=3)
+    mesh = classified(p, 2, 3)
     assert np.array_equal(rec.mesh.vertices, mesh.vertices)
     rep = solve(mesh, p, opts)
     assert rec.report.u.tobytes() == rep.u.tobytes()
@@ -201,7 +197,7 @@ def test_level_record_carries_its_solve():
 
 def test_equilibrium_ramp_is_reproduced():
     p = PROBLEMS["equilibrium"]()
-    mesh = meshed(p, grid_id=2, level=2)
+    mesh = classified(p, 2, 2)
     rep = solve(mesh, p, SolveOptions(tol=1e-10))
     assert rep.converged
     want = p.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -210,7 +206,7 @@ def test_equilibrium_ramp_is_reproduced():
 
 def test_tail_average_takes_over_at_max_iter():
     p = PROBLEMS["circular-convection"]()
-    mesh = meshed(p, level=3)
+    mesh = classified(p, 1, 3)
     rep = solve(mesh, p, SolveOptions(damping=0.5, max_iter=30,
                                       tail_average=30))
     assert not rep.converged
@@ -224,7 +220,7 @@ def test_tail_mean_is_mean_of_last_iterates():
     # the returned mean is the running sum of the iterates after sweeps
     # 9..12, divided by 4, byte for byte
     p = PROBLEMS["circular-layers"]()
-    mesh = meshed(p, grid_id=1, level=3)
+    mesh = classified(p, 1, 3)
     rep = solve(mesh, p, SolveOptions(damping=0.5, max_iter=12,
                                       tail_average=4))
     assert not rep.converged and rep.iterations == 12

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import cdrfem
-from cdrfem import (PROBLEMS, SolveOptions, build_level0, classify_and_order,
-                    convergence_study, error_norms, refine)
+from cdrfem import PROBLEMS, SolveOptions, convergence_study, error_norms
 from cdrfem.cli import (CSV_HEADER, _build_parser, _options, run, write_csv,
                         write_vtk)
+from cases import classified
 from oracles import write_vtk_by_scalar
 
 
@@ -57,10 +57,7 @@ def test_solve_writes_report_and_field(tmp_path):
 
 @pytest.mark.parametrize("grid_id", [1, 2])
 def test_write_vtk_matches_scalar_writer(tmp_path, grid_id):
-    mesh = build_level0(grid_id)
-    for _ in range(3):
-        mesh = refine(mesh)
-    mesh = classify_and_order(mesh, PROBLEMS["boundary-layers"]())
+    mesh = classified(PROBLEMS["boundary-layers"](), grid_id, 3)
     rng = np.random.default_rng(grid_id)
     u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
         -30, 30, mesh.num_vertices)
@@ -101,12 +98,14 @@ def test_module_entry_point_runs(tmp_path):
 
 
 def test_epsilon_override_rules(tmp_path, capsys):
+    outdir = tmp_path / "out"
     assert run(["solve", "--problem", "circular-convection",
-                "--epsilon", "1e-6", "--outdir", str(tmp_path)]) == 1
-    assert run(["solve", "--problem", "circular-layers",
-                "--epsilon", "-1.0", "--outdir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
+                "--epsilon", "1e-6", "--outdir", str(outdir)]) == 1
+    for eps in ("-1.0", "nan", "inf"):
+        assert run(["solve", "--problem", "circular-layers", "--epsilon", eps,
+                    "--outdir", str(outdir)]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not outdir.exists()
     code = run(["solve", "--problem", "circular-layers", "--epsilon", "1e-6",
                 "--level", "2", "--damping", "0.5", "--max-iter", "4000",
                 "--outdir", str(tmp_path)])
@@ -183,10 +182,7 @@ def test_emit_vtk_writes_the_reported_iterate(tmp_path, capsys):
     assert finest[0] == "2" and finest[8] == "False"
 
     problem = PROBLEMS["circular-convection"]()
-    mesh = build_level0(1)
-    for _ in range(2):
-        mesh = refine(mesh)
-    mesh = classify_and_order(mesh, problem)
+    mesh = classified(problem, 1, 2)
     points, u = read_vtk_field(tmp_path / "solution.vtk")
     assert np.array_equal(points, mesh.vertices)
     l1, l2 = error_norms(mesh, u, problem.exact)

@@ -3,30 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from cdrfem import (PROBLEMS, ProblemSpec, assemble, build_level0,
-                    classify_and_order, galerkin_residual, refine)
-from cdrfem.limiter import LimiterContext, edge_state, mc_limit
+from cdrfem import PROBLEMS, galerkin_residual
+from cdrfem.limiter import edge_state, mc_limit
 from cdrfem.solver import residual
+from cases import (classified, constant_problem, limiter_case, random_iterate,
+                   row_scale)
 from oracles import (_r_abs_p, balancing_flux, bar_state, fictitious_value,
                      limit_balancing, limiting_factor, mc_target_flux,
                      mirror_cell, net_source, wb_bar_state, wb_limit,
                      wb_target_flux)
-
-
-def setup_case(problem, grid_id=2, level=2):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    mesh = classify_and_order(mesh, problem)
-    ops = assemble(mesh, problem)
-    return mesh, ops, LimiterContext(mesh, ops, problem)
-
-
-def random_iterate(mesh, problem, rng, spread=1.0):
-    u = spread * rng.standard_normal(mesh.num_vertices)
-    xd = mesh.vertices[mesh.num_free:]
-    u[mesh.num_free:] = problem.dirichlet(xd[:, 0], xd[:, 1])
-    return u
 
 
 def all_benchmarks():
@@ -91,8 +76,7 @@ def test_balancing_flux_degenerate():
 
 
 def test_fictitious_value_linear():
-    mesh = classify_and_order(refine(refine(build_level0(1))),
-                              PROBLEMS["interior-layers"]())
+    mesh = classified(PROBLEMS["interior-layers"](), 1, 2)
     x = mesh.vertices
     u = 0.3 + 1.7 * x[:, 0] - 0.9 * x[:, 1]
     et = mesh.edges
@@ -106,7 +90,7 @@ def test_fictitious_value_linear():
 
 def test_fictitious_value_barycentric_oracle():
     prob = PROBLEMS["interior-layers"]()
-    mesh = classify_and_order(refine(refine(build_level0(2))), prob)
+    mesh = classified(prob, 2, 2)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(mesh.num_vertices)
     et = mesh.edges
@@ -143,7 +127,7 @@ def test_limiting_factor_matches_flux_route():
     # applied balancing flux
     rng = np.random.default_rng(11)
     for prob, grid_id in itertools.product(all_benchmarks(), (1, 2)):
-        mesh, ops, ctx = setup_case(prob, grid_id=grid_id)
+        mesh, ops, ctx = limiter_case(prob, grid_id, 2)
         b, free = ops.b[mesh.edges.i], ctx.free_row
         for variant in ("full", "simplified"):
             st = edge_state(ctx, random_iterate(mesh, prob, rng),
@@ -164,7 +148,7 @@ def test_wb_bar_state_values():
 
 def test_wb_bar_state_distributes_source():
     prob = PROBLEMS["interior-layers"]()
-    mesh, ops, _ = setup_case(prob)
+    mesh, ops, _ = limiter_case(prob, 2, 2)
     et = mesh.edges
     share = 2.0 * ops.d_e * (ops.b[et.i] / ops.art_row[et.i])
     per_node = np.add.reduceat(share, et.indptr[:-1])
@@ -202,31 +186,23 @@ def test_wb_limit_cases():
     assert wb_limit(1.0, 1.0, 0.0, -big, -big, big, -1.0, 1.0, True) == 1.0
 
 
-def state_row_scale(ops, state, u):
-    et = ops.mesh.edges
-    m = ops.num_free
-    mags = np.add.reduceat(np.abs(state.wflux) + np.abs(ops.diff_e * u[et.j]),
-                           et.indptr[:-1])
-    return 1.0 + mags[:m] + np.abs(state.rhs[:m])
-
-
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_flux_form_matches_galerkin(name):
     prob = PROBLEMS[name]()
-    mesh, ops, ctx = setup_case(prob)
+    mesh, ops, ctx = limiter_case(prob, 2, 2)
     rng = np.random.default_rng(17)
     for _ in range(5):
         u = random_iterate(mesh, prob, rng)
         gal = galerkin_residual(ops, u)
         st = edge_state(ctx, u, limiter="mc", limit_fluxes=False)
         diff = residual(ops, st, u) - gal
-        assert np.all(np.abs(diff) <= 1e-12 * state_row_scale(ops, st, u))
+        assert np.all(np.abs(diff) <= 1e-12 * row_scale(ops, st, u))
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_wb_flux_form_matches_galerkin(name):
     prob = PROBLEMS[name]()
-    mesh, ops, ctx = setup_case(prob)
+    mesh, ops, ctx = limiter_case(prob, 2, 2)
     rng = np.random.default_rng(19)
     for _ in range(5):
         u = random_iterate(mesh, prob, rng)
@@ -236,14 +212,14 @@ def test_wb_flux_form_matches_galerkin(name):
             st = edge_state(ctx, u, limiter="wmc", limit_fluxes=False,
                             **kwargs)
             diff = residual(ops, st, u) - gal
-            assert np.all(np.abs(diff) <= 1e-12 * state_row_scale(ops, st, u))
+            assert np.all(np.abs(diff) <= 1e-12 * row_scale(ops, st, u))
 
 
 def test_antisymmetry_and_alpha():
     rng = np.random.default_rng(23)
     for name in ("interior-layers", "circular-layers", "equilibrium"):
         prob = PROBLEMS[name]()
-        mesh, ops, ctx = setup_case(prob)
+        mesh, ops, ctx = limiter_case(prob, 2, 2)
         et = mesh.edges
         both_free = ctx.free_row & ctx.free_row[et.rev]
         for _ in range(3):
@@ -265,7 +241,7 @@ def test_antisymmetry_and_alpha():
 
 def test_local_bounds_definition():
     prob = PROBLEMS["interior-layers"]()
-    mesh, ops, ctx = setup_case(prob, grid_id=1, level=1)
+    mesh, ops, ctx = limiter_case(prob, 1, 1)
     rng = np.random.default_rng(29)
     u = random_iterate(mesh, prob, rng)
     st = edge_state(ctx, u, limiter="mc")
@@ -287,7 +263,7 @@ def test_shifted_bar_state_bounds(variant):
     rng = np.random.default_rng(31)
     for name in sorted(PROBLEMS):
         prob = PROBLEMS[name]()
-        mesh, ops, ctx = setup_case(prob)
+        mesh, ops, ctx = limiter_case(prob, 2, 2)
         for _ in range(4):
             u = random_iterate(mesh, prob, rng, spread=2.0)
             st = edge_state(ctx, u, variant=variant)
@@ -304,7 +280,7 @@ def test_flux_difference_bounds():
     rng = np.random.default_rng(37)
     for name in sorted(PROBLEMS):
         prob = PROBLEMS[name]()
-        mesh, ops, ctx = setup_case(prob)
+        mesh, ops, ctx = limiter_case(prob, 2, 2)
         et = mesh.edges
         for _ in range(3):
             u = random_iterate(mesh, prob, rng, spread=3.0)
@@ -322,7 +298,7 @@ def test_flux_difference_bounds():
 def test_local_extremum_precondition():
     # bump interior nodes to local extrema and check the shifted bar states
     prob = PROBLEMS["interior-layers"]()
-    mesh, ops, ctx = setup_case(prob, grid_id=1, level=3)
+    mesh, ops, ctx = limiter_case(prob, 1, 3)
     et = mesh.edges
     rng = np.random.default_rng(41)
     for _ in range(5):
@@ -348,7 +324,7 @@ def test_local_extremum_precondition():
 def test_q_sign_facts():
     rng = np.random.default_rng(43)
     prob = PROBLEMS["interior-layers"]()
-    mesh, ops, ctx = setup_case(prob)
+    mesh, ops, ctx = limiter_case(prob, 2, 2)
     for _ in range(5):
         u = random_iterate(mesh, prob, rng)
         st = edge_state(ctx, u)
@@ -361,7 +337,7 @@ def test_q_sign_facts():
 @pytest.mark.parametrize("grid_id", [1, 2])
 def test_equilibrium_balance(grid_id):
     prob = PROBLEMS["equilibrium"]()
-    mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=2)
+    mesh, ops, ctx = limiter_case(prob, grid_id, 2)
     uhat = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
     st = edge_state(ctx, uhat)
     assert np.all(np.abs(st.alpha - 1.0) <= 1e-13)
@@ -375,7 +351,7 @@ def test_equilibrium_balance(grid_id):
 
 def test_simplified_loses_balance():
     prob = PROBLEMS["equilibrium"]()
-    mesh, ops, ctx = setup_case(prob, grid_id=1, level=2)
+    mesh, ops, ctx = limiter_case(prob, 1, 2)
     uhat = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
     st = edge_state(ctx, uhat, variant="simplified")
     assert np.all((st.alpha >= 0.0) & (st.alpha <= 1.0))
@@ -385,7 +361,7 @@ def test_simplified_loses_balance():
 
 def test_dirichlet_rows_carry_no_flux():
     prob = PROBLEMS["interior-layers"]()
-    mesh, ops, ctx = setup_case(prob)
+    mesh, ops, ctx = limiter_case(prob, 2, 2)
     rng = np.random.default_rng(47)
     u = random_iterate(mesh, prob, rng)
     st = edge_state(ctx, u)
@@ -394,7 +370,7 @@ def test_dirichlet_rows_carry_no_flux():
 
 def test_edge_state_rejects_unknown_names():
     prob = PROBLEMS["interior-layers"]()
-    _, _, ctx = setup_case(prob, level=1)
+    _, _, ctx = limiter_case(prob, 2, 1)
     u = np.zeros(ctx.mesh.num_vertices)
     with pytest.raises(ValueError):
         edge_state(ctx, u, limiter="upwind")
@@ -403,14 +379,8 @@ def test_edge_state_rejects_unknown_names():
 
 
 def test_degenerate_velocity_rejected():
-    still = ProblemSpec(
-        name="still", epsilon=1.0,
-        velocity=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
-                               np.zeros_like(np.asarray(y, dtype=float))),
-        reaction=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        source=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        dirichlet=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
-    mesh, ops, ctx = setup_case(still, level=1)
+    still = constant_problem(1.0, (0.0, 0.0), 0.0, 0.0)
+    mesh, ops, ctx = limiter_case(still, 2, 1)
     with pytest.raises(ValueError):
         edge_state(ctx, np.zeros(mesh.num_vertices))
 
@@ -421,7 +391,7 @@ def test_degenerate_velocity_rejected():
 def test_balancing_flux_oracle(name, grid_id):
     # the sweep's P is the balancing flux of the nodal net source
     prob = PROBLEMS[name]()
-    mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
+    mesh, ops, ctx = limiter_case(prob, grid_id, 3)
     et = mesh.edges
     u = random_iterate(mesh, prob, np.random.default_rng(59))
     x = mesh.vertices
@@ -437,7 +407,7 @@ def test_balancing_flux_oracle(name, grid_id):
 def test_grad_incr_oracle(name, grid_id):
     # the mirror-cell increment is the fictitious value minus u_i per edge
     prob = PROBLEMS[name]()
-    mesh, ops, ctx = setup_case(prob, grid_id=grid_id, level=3)
+    mesh, ops, ctx = limiter_case(prob, grid_id, 3)
     et = mesh.edges
     u = random_iterate(mesh, prob, np.random.default_rng(61))
     want = np.array([fictitious_value(mesh, u, i, j) - u[i]

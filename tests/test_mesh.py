@@ -6,14 +6,8 @@ from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, Mesh, build_level0,
 from cdrfem.benchmarks import (PROBLEMS, problem_circular_convection,
                                problem_circular_layers,
                                problem_interior_layers)
-from oracles import lexsort_mirror_cells, mirror_cell
-
-
-def refined(grid_id, level):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return mesh
+from cases import refined
+from oracles import lexsort_mirror_cells, mirror_cell, node_cells
 
 
 def jittered(grid_id, level):
@@ -37,32 +31,30 @@ def undirected_edges(mesh):
     return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
-def mirror_cell_reference(mesh, i, j):
-    """Slow search for the extrapolation cell of the directed edge (i, j).
+def mirror_cell_reference(mesh, i, j, cells_at_i):
+    """Slow search for the extrapolation cell of the directed edge (i, j)
+    among ``cells_at_i``, the cells at x_i in ascending order.
 
     Containment beats wedge membership beats smallest angle between the
     direction x_i - x_j and the corner rays; ties fall to the smallest cell
-    index.  Uses barycentric coordinates and arccos, unlike the production
-    code, which has no containment level.
+    index, so the first containing cell wins.  Uses barycentric coordinates
+    and arccos, unlike the production code, which has no containment level.
     """
     xi, xj = mesh.vertices[i], mesh.vertices[j]
     point = 2.0 * xi - xj
     w = xi - xj
     best = None
-    for k in range(mesh.num_cells):
+    for k in cells_at_i:
         tri = mesh.cells[k]
-        if i not in tri:
-            continue
         p = mesh.vertices[tri]
         T = np.column_stack([p[1] - p[0], p[2] - p[0]])
         lam12 = np.linalg.solve(T, point - p[0])
         lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-        others = [v for v in range(3) if tri[v] != i]
-        rays = [p[v] - xi for v in others]
-        ab = np.linalg.solve(np.column_stack(rays), w)
         if np.all(lam >= -1e-12):
-            key = (0, 0.0, k)
-        elif np.all(ab >= -1e-12):
+            return k
+        rays = [p[v] - xi for v in range(3) if tri[v] != i]
+        ab = np.linalg.solve(np.column_stack(rays), w)
+        if np.all(ab >= -1e-12):
             key = (1, 0.0, k)
         else:
             ang = min(np.arccos(np.clip(w @ r / (np.linalg.norm(w)
@@ -253,9 +245,11 @@ def test_mirror_cells_match_reference():
     for mesh in meshes:
         et = mesh.edges
         got = mesh.mirror_cells
+        ptr, cells = node_cells(mesh)
         for k in range(len(et.i)):
-            want = mirror_cell_reference(mesh, int(et.i[k]), int(et.j[k]))
-            assert got[k] == want, (mesh.level, int(et.i[k]), int(et.j[k]))
+            i, j = int(et.i[k]), int(et.j[k])
+            want = mirror_cell_reference(mesh, i, j, cells[ptr[i]:ptr[i + 1]])
+            assert got[k] == want, (mesh.level, i, j)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,39 +4,23 @@ import numpy as np
 import pytest
 
 import cdrfem.solver
-from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble, audit_dmp,
-                    build_level0, classify_and_order, refine, solve)
+from cdrfem import PROBLEMS, SolveOptions, assemble, audit_dmp, solve
 from cdrfem.benchmarks import problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _GaussSeidel,
                            _initial_iterate, residual)
+from cases import classified, constant_problem, limiter_case, refined
 from oracles import (block_gauss_seidel, dense_operators, low_order_matrix,
                      row_residual)
 
 
-def const(val):
-    return lambda x, y: np.full_like(np.asarray(x, dtype=float), val)
-
-
-def smooth_problem():
-    # diffusion-dominated; the plain update contracts fast
-    return ProblemSpec(name="smooth", epsilon=1.0,
-                       velocity=lambda x, y: (const(0.4)(x, y),
-                                              const(0.3)(x, y)),
-                       reaction=const(0.5), source=const(1.0),
-                       dirichlet=const(0.0))
-
-
-def meshed(problem, grid_id=1, level=3):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    return classify_and_order(mesh, problem)
+# diffusion-dominated; the plain update contracts fast
+SMOOTH = constant_problem(1.0, (0.4, 0.3), 0.5, 1.0)
 
 
 def test_galerkin_matches_sparse_direct():
-    prob = smooth_problem()
-    mesh = meshed(prob)
+    prob = SMOOTH
+    mesh = classified(prob, 1, 3)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(limiter="galerkin", tol=1e-12),
                 ops=ops)
@@ -51,7 +35,7 @@ def test_galerkin_matches_sparse_direct():
 
 def test_single_unknown_solved_exactly():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=1)
+    mesh = classified(prob, 1, 1)
     assert mesh.num_free == 1
     rep = solve(mesh, prob, SolveOptions(tol=1e-13))
     assert rep.converged and rep.iterations <= 500
@@ -59,8 +43,8 @@ def test_single_unknown_solved_exactly():
 
 
 def test_exact_guess_converges_without_sweeps():
-    prob = smooth_problem()
-    mesh = meshed(prob, level=2)
+    prob = SMOOTH
+    mesh = classified(prob, 1, 2)
     first = solve(mesh, prob, SolveOptions(limiter="galerkin", tol=1e-12))
     again = solve(mesh, prob, SolveOptions(limiter="galerkin", tol=1e-10,
                                            initial_guess=first.u))
@@ -75,10 +59,9 @@ def test_tilted_ramp_is_a_fixed_point(vhat, grid_id):
     # well balance off the axis: the ramp itself is the fixed point of the
     # full balanced limiter; how the iteration reaches it is not pinned here
     prob = problem_equilibrium(vhat=vhat)
-    mesh = meshed(prob, grid_id, level=4)
-    ops = assemble(mesh, prob)
+    mesh, ops, ctx = limiter_case(prob, grid_id, 4)
     ramp = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    st = edge_state(LimiterContext(mesh, ops, prob), ramp, variant="full")
+    st = edge_state(ctx, ramp, variant="full")
     assert np.abs(residual(ops, st, ramp)).max() <= 1e-15
     assert np.abs(st.alpha - 1.0).max() <= 1e-13
     assert np.abs(st.fs_star).max() <= 1e-13
@@ -93,7 +76,7 @@ def test_tilted_ramp_reached_from_zero(vhat, grid_id):
     # the default options reach the ramp on both grids; plain Jacobi sweeps
     # stall near 7e-3 on grid 2
     prob = problem_equilibrium(vhat=vhat)
-    mesh = meshed(prob, grid_id, level=4)
+    mesh = classified(prob, grid_id, 4)
     rep = solve(mesh, prob, SolveOptions(max_iter=2000))
     assert rep.converged
     ramp = prob.exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -106,7 +89,7 @@ def test_ladder_options_sweep_count():
     # correction, 621 with every Anderson step damped, and 3640 for plain
     # damped Jacobi sweeps)
     prob = PROBLEMS["circular-convection"]()
-    mesh = meshed(prob, grid_id=1, level=4)
+    mesh = classified(prob, 1, 4)
     rep = solve(mesh, prob, SolveOptions(damping=0.0625, max_iter=16384,
                                          tail_average=9216))
     assert rep.converged
@@ -118,7 +101,7 @@ def test_equilibrium_sweep_count(grid_id):
     # the Gauss-Seidel correction takes 51 / 63 sweeps here, the Jacobi
     # correction -r/a 124 / 165
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, grid_id, level=4)
+    mesh = classified(prob, grid_id, 4)
     rep = solve(mesh, prob)
     assert rep.converged
     assert rep.iterations < 100
@@ -128,7 +111,7 @@ def test_equilibrium_sweep_count(grid_id):
 def test_correction_matches_dense_gauss_seidel(grid_id):
     # circular-layers has diffusion, convection and reaction
     prob = PROBLEMS["circular-layers"]()
-    mesh = meshed(prob, grid_id, level=3)
+    mesh = classified(prob, grid_id, 3)
     ops = assemble(mesh, prob)
     m = mesh.num_free
     L = low_order_matrix(mesh, prob)
@@ -149,7 +132,7 @@ def test_correction_matches_dense_gauss_seidel(grid_id):
 
 def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
 
     def no_groups(ops):
         raise AssertionError("colour groups built")
@@ -165,7 +148,7 @@ def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
 
 def test_max_iter_reports_nonconvergence():
     prob = PROBLEMS["circular-convection"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     rep = solve(mesh, prob, SolveOptions(max_iter=5, damping=0.5))
     assert not rep.converged
     assert rep.iterations == 5
@@ -189,7 +172,7 @@ def dense_correction(mesh, prob, ops):
 def test_first_step_is_damped_correction(damping):
     # with no history to mix, the step is u0 + beta f0
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     ops = assemble(mesh, prob)
     correction = dense_correction(mesh, prob, ops)
     u0 = _initial_iterate(mesh, prob, "zero")
@@ -206,7 +189,7 @@ def test_mixing_step_is_undamped(damping):
     # once a history exists, damping no longer scales the step: the second
     # iterate is u1 + f1 - (dU + dF) gamma for any damping
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     ops = assemble(mesh, prob)
     correction = dense_correction(mesh, prob, ops)
     m = mesh.num_free
@@ -229,7 +212,7 @@ def test_mixing_step_is_undamped(damping):
 
 def test_initial_iterate_variants():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=2)
+    mesh = classified(prob, 1, 2)
     m, n = mesh.num_free, mesh.num_vertices
     xd = mesh.vertices[m:]
     ud = prob.dirichlet(xd[:, 0], xd[:, 1])
@@ -246,7 +229,7 @@ def test_initial_iterate_variants():
 
 def test_wrong_length_guess_rejected_before_assembly(monkeypatch):
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=2)
+    mesh = classified(prob, 1, 2)
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("assemble called before the guess was checked")
@@ -258,12 +241,12 @@ def test_wrong_length_guess_rejected_before_assembly(monkeypatch):
 
 def test_solve_rejects_bad_names_and_unclassified_mesh():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=1)
+    mesh = classified(prob, 1, 1)
     with pytest.raises(ValueError):
         solve(mesh, prob, SolveOptions(limiter="upwind"))
     with pytest.raises(ValueError):
         solve(mesh, prob, SolveOptions(wb_variant="other"))
-    raw = refine(build_level0(1))
+    raw = refined(1, 1)
     with pytest.raises(ValueError):
         solve(raw, prob)
 
@@ -288,7 +271,7 @@ def test_invalid_options_rejected(kwargs):
         SolveOptions(**kwargs)
     # options changed after construction are checked again by solve
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, level=1)
+    mesh = classified(prob, 1, 1)
     opts = SolveOptions()
     for name, value in kwargs.items():
         setattr(opts, name, value)
@@ -300,7 +283,7 @@ def test_invalid_options_rejected(kwargs):
 def test_divergence_raises(growing_map):
     # the growth guard stops the run long before the residual norm overflows
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     with pytest.raises(RuntimeError, match="diverged") as err:
         solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=20000))
     sweeps = int(re.search(r"after (\d+) sweeps", str(err.value)).group(1))
@@ -312,7 +295,7 @@ def test_galerkin_equilibrium_stays_bounded():
     # under the Jacobi correction; under the Gauss-Seidel correction its
     # residual never exceeds the first one and the iterate stays finite
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     rep = solve(mesh, prob, SolveOptions(limiter="galerkin", max_iter=2000))
     assert np.all(np.isfinite(rep.u))
     assert rep.residual_history.max() <= rep.residual_history[0]
@@ -322,7 +305,7 @@ def test_galerkin_equilibrium_stays_bounded():
 def test_row_weights_positive_on_benchmarks():
     for factory in PROBLEMS.values():
         prob = factory()
-        mesh = meshed(prob, level=2)
+        mesh = classified(prob, 1, 2)
         ops = assemble(mesh, prob)
         assert np.all(ops.row_weight[:mesh.num_free] > 0.0)
 
@@ -331,9 +314,7 @@ def test_row_weights_positive_on_benchmarks():
 def test_row_residual_matches_vector(limiter):
     # the row sums that edge_state stores, for every unknown row
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=2)
-    ops = assemble(mesh, prob)
-    ctx = LimiterContext(mesh, ops, prob)
+    mesh, ops, ctx = limiter_case(prob, 1, 2)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(mesh.num_vertices)
     st = edge_state(ctx, u, limiter)
@@ -347,7 +328,7 @@ def test_row_residual_matches_vector(limiter):
 
 def test_solve_is_deterministic():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     opts = SolveOptions(damping=0.5, max_iter=2000)
     rep1 = solve(mesh, prob, opts)
     rep2 = solve(mesh, prob, opts)
@@ -360,7 +341,7 @@ def test_restarts_count_cleared_histories():
     # residual and clears the mixing history; a run that starts at the
     # exact ramp takes no sweep and so never restarts
     prob = PROBLEMS["equilibrium"]()
-    mesh = meshed(prob, level=2)
+    mesh = classified(prob, 1, 2)
     rep = solve(mesh, prob, SolveOptions())
     assert rep.converged
     assert rep.restarts >= 1
@@ -405,7 +386,7 @@ def test_mixer_restart_takes_the_damped_update():
 
 def test_check_bounds_instrumentation():
     prob = PROBLEMS["interior-layers"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     rep = solve(mesh, prob, SolveOptions(damping=0.5, check_bounds=True,
                                          max_iter=4000))
     assert rep.bound_check is not None
@@ -415,7 +396,7 @@ def test_check_bounds_instrumentation():
 
 def test_audit_not_applicable_without_diffusion():
     prob = PROBLEMS["circular-convection"]()
-    mesh = meshed(prob, level=3)
+    mesh = classified(prob, 1, 3)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(damping=0.5, max_iter=3000))
     checks = audit_dmp(rep, mesh, ops, prob)
@@ -428,12 +409,8 @@ def test_audit_constant_state():
     # zero source and constant boundary data: solution is that constant and
     # every applicable principle holds with zero violations
     kappa = 2.5
-    prob = ProblemSpec(name="const", epsilon=1.0,
-                       velocity=lambda x, y: (const(1.0)(x, y),
-                                              const(0.0)(x, y)),
-                       reaction=const(0.0), source=const(0.0),
-                       dirichlet=const(kappa))
-    mesh = meshed(prob, level=3)
+    prob = constant_problem(1.0, (1.0, 0.0), 0.0, 0.0, kappa)
+    mesh = classified(prob, 1, 3)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(tol=1e-12), ops=ops)
     assert rep.converged
@@ -446,12 +423,8 @@ def test_audit_constant_state():
 
 
 def test_audit_flags_planted_overshoot():
-    prob = ProblemSpec(name="const", epsilon=1.0,
-                       velocity=lambda x, y: (const(1.0)(x, y),
-                                              const(0.0)(x, y)),
-                       reaction=const(0.0), source=const(0.0),
-                       dirichlet=const(1.0))
-    mesh = meshed(prob, level=2)
+    prob = constant_problem(1.0, (1.0, 0.0), 0.0, 0.0, 1.0)
+    mesh = classified(prob, 1, 2)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(tol=1e-12), ops=ops)
     rep.u[0] = 1.7      # synthetic spike above every neighbour
@@ -463,12 +436,8 @@ def test_audit_flags_planted_overshoot():
 
 
 def test_audit_flags_planted_undershoot():
-    prob = ProblemSpec(name="const", epsilon=1.0,
-                       velocity=lambda x, y: (const(1.0)(x, y),
-                                              const(0.0)(x, y)),
-                       reaction=const(0.0), source=const(0.0),
-                       dirichlet=const(-1.0))
-    mesh = meshed(prob, level=2)
+    prob = constant_problem(1.0, (1.0, 0.0), 0.0, 0.0, -1.0)
+    mesh = classified(prob, 1, 2)
     ops = assemble(mesh, prob)
     rep = solve(mesh, prob, SolveOptions(tol=1e-12), ops=ops)
     rep.u[0] = -1.7     # synthetic dip below every neighbour

@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdrfem import PROBLEMS, assemble, build_level0, classify_and_order, refine
-from cdrfem.limiter import LimiterContext, edge_state, mc_limit
+from cdrfem import PROBLEMS
+from cdrfem.limiter import edge_state, mc_limit
+from cases import limiter_case, random_iterate
 from oracles import (bar_state, limit_balancing, limiting_factor,
                      mc_target_flux, wb_bar_state, wb_limit, wb_target_flux)
 
@@ -25,22 +26,6 @@ def interior_sink():
 
 # the five benchmarks cover b > 0 and b == 0; the sink adds b < 0
 CASES = dict(PROBLEMS, **{"interior-sink": interior_sink})
-
-
-def context(problem, grid_id, level=3):
-    mesh = build_level0(grid_id)
-    for _ in range(level):
-        mesh = refine(mesh)
-    mesh = classify_and_order(mesh, problem)
-    return LimiterContext(mesh, assemble(mesh, problem), problem)
-
-
-def random_iterate(ctx, seed):
-    mesh = ctx.mesh
-    u = np.random.default_rng(seed).standard_normal(mesh.num_vertices)
-    xd = mesh.vertices[mesh.num_free:]
-    u[mesh.num_free:] = ctx.problem.dirichlet(xd[:, 0], xd[:, 1])
-    return u
 
 
 def balanced_reference(ctx, u, variant):
@@ -93,11 +78,11 @@ def mc_reference(ctx, u, limiter):
 @pytest.mark.parametrize("grid_id", [1, 2])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_reference_helpers(name, grid_id):
-    ctx = context(CASES[name](), grid_id)
+    _, _, ctx = limiter_case(CASES[name](), grid_id, 3)
     et = ctx.et
     b_e = ctx.ops.b[et.i]
     for seed in (3, 4):
-        u = random_iterate(ctx, seed)
+        u = random_iterate(ctx.mesh, ctx.problem, np.random.default_rng(seed))
         for variant in ("full", "simplified"):
             st = edge_state(ctx, u, variant=variant)
             wflux, P, Qp, Qm = balanced_reference(ctx, u, variant)
@@ -117,7 +102,7 @@ def test_reference_cases_are_covered():
     # grid 2 has free nodes next to Dirichlet corners and sides, and the
     # cases give both signs and zeros of the source functional
     for name, sign in (("interior-layers", 1.0), ("interior-sink", -1.0)):
-        ctx = context(CASES[name](), 2)
+        _, _, ctx = limiter_case(CASES[name](), 2, 3)
         et, m = ctx.et, ctx.mesh.num_free
         assert np.any((et.i < m) & (et.j >= m))
         assert ctx.num_free_edges < len(et.i)
