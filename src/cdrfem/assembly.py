@@ -53,15 +53,17 @@ class Operators:
         self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
 
 
-def assemble(mesh, problem):
-    """Assemble all operators of ``problem`` on a classified mesh."""
-    if mesh.num_free is None:
-        raise ValueError("mesh must be classified before assembly")
-    n = mesh.num_vertices
-    cells = mesh.cells
+def _local_blocks(mesh, problem):
+    """Cell matrices (c, 3, 3) of the diffusion, convection and reaction
+    blocks and the cell source vectors (c, 3).
+
+    The reaction and diffusion sums run in the order, and so give the bits,
+    of ``np.einsum("aq,bq,cq->cab", ...)`` and ``np.einsum("cad,cbd->cab",
+    ...)``, without their cost.
+    """
     area = mesh.cell_areas
     grads = mesh.cell_grads
-    p = mesh.vertices[cells]
+    p = mesh.vertices[mesh.cells]
 
     # quadrature nodes: the three edge midpoints of every cell
     qpts = 0.5 * (p + np.roll(p, -1, axis=1))         # (c, 3, 2)
@@ -76,10 +78,26 @@ def assemble(mesh, problem):
     vdotg = (np.asarray(vx)[:, :, None] * grads[:, None, :, 0]
              + np.asarray(vy)[:, :, None] * grads[:, None, :, 1])
     local_conv = np.einsum("aq,cqb,cq->cab", _PHI, vdotg, np.broadcast_to(w, qx.shape))
-    local_reac = np.einsum("aq,bq,cq->cab", _PHI, _PHI, cq * w)
-    local_diff = problem.epsilon * area[:, None, None] * np.einsum(
-        "cad,cbd->cab", grads, grads)
+    cw = cq * w
+    local_reac = np.empty_like(local_conv)
+    for a, b in np.ndindex(3, 3):
+        m = _PHI[a] * _PHI[b]
+        local_reac[:, a, b] = (m[0] * cw[:, 0] + m[1] * cw[:, 1]
+                               + m[2] * cw[:, 2])
+    local_diff = grads[:, :, None, 0] * grads[:, None, :, 0]
+    local_diff += grads[:, :, None, 1] * grads[:, None, :, 1]
+    local_diff *= problem.epsilon * area[:, None, None]
     local_b = np.einsum("aq,cq->ca", _PHI, fq * w)
+    return local_diff, local_conv, local_reac, local_b
+
+
+def assemble(mesh, problem):
+    """Assemble all operators of ``problem`` on a classified mesh."""
+    if mesh.num_free is None:
+        raise ValueError("mesh must be classified before assembly")
+    n = mesh.num_vertices
+    cells = mesh.cells
+    local_diff, local_conv, local_reac, local_b = _local_blocks(mesh, problem)
 
     et = mesh.edges
 

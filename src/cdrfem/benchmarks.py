@@ -233,7 +233,11 @@ def error_norms(mesh, u, exact):
     u = np.asarray(u, dtype=float)
     p = mesh.vertices[mesh.cells]                      # (c, 3, 2)
     uc = u[mesh.cells]                                 # (c, 3)
-    qx = np.einsum("qk,ckd->cqd", _QUAD_BARY, p)       # (c, q, 2)
+    # quadrature points (c, q, 2), summed over k in the order, and so with
+    # the bits, of np.einsum("qk,ckd->cqd", _QUAD_BARY, p)
+    qx = _QUAD_BARY[:, 0, None] * p[:, None, 0]
+    qx += _QUAD_BARY[:, 1, None] * p[:, None, 1]
+    qx += _QUAD_BARY[:, 2, None] * p[:, None, 2]
     uh = np.einsum("qk,ck->cq", _QUAD_BARY, uc)
     diff = np.abs(uh - exact(qx[:, :, 0], qx[:, :, 1]))
     area = mesh.cell_areas

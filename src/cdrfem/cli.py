@@ -34,21 +34,32 @@ def write_csv(records, path):
                       f"{r.iterations},{r.converged}\n")
 
 
+# rows that write_vtk formats with one ``%`` operation
+_VTK_CHUNK_ROWS = 1 << 15
+
+
+def _write_rows(out, fmt, rows):
+    """Write ``fmt % tuple(row)`` for every row of ``rows``, a chunk of
+    rows at a time; ``%.17g`` on a Python float reads as ``f"{x:.17g}"``."""
+    for s in range(0, len(rows), _VTK_CHUNK_ROWS):
+        chunk = rows[s:s + _VTK_CHUNK_ROWS]
+        out.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_vtk(mesh, u, path):
     """Legacy ASCII VTK unstructured grid with one point scalar field."""
     with open(path, "w") as out:
         out.write("# vtk DataFile Version 2.0\ncdrfem solution\n")
         out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         out.write(f"POINTS {mesh.num_vertices} double\n")
-        out.writelines(f"{x:.17g} {y:.17g} 0\n"
-                       for x, y in mesh.vertices.tolist())
+        _write_rows(out, "%.17g %.17g 0\n", mesh.vertices)
         out.write(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}\n")
-        out.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.cells.tolist())
+        _write_rows(out, "3 %d %d %d\n", mesh.cells)
         out.write(f"CELL_TYPES {mesh.num_cells}\n")
         out.write("5\n" * mesh.num_cells)
         out.write(f"POINT_DATA {mesh.num_vertices}\n")
         out.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        out.writelines(f"{v:.17g}\n" for v in np.asarray(u).tolist())
+        _write_rows(out, "%.17g\n", np.asarray(u))
 
 
 def write_audit(checks, path):

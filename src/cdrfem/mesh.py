@@ -12,8 +12,8 @@ ordering.
 
 ``Mesh.mirror_cells`` picks, per directed edge (i, j), the cell at ``x_i``
 used to extrapolate u_h to ``2 x_i - x_j``.  It reads the cells at ``x_i``
-off the edge table, as the left cells of the edges out of ``x_i``, and keeps
-a running best per edge in (wedge, angle, cell) order, with ties to the
+off the edge table, as the left cells of the edges out of ``x_i``: the
+smallest wedge cell, otherwise the cell of smallest angle, ties to the
 smallest cell.  Its docstring says why a cell containing ``2 x_i - x_j``
 needs no level of its own.
 """
@@ -146,9 +146,10 @@ class Mesh:
         (i, p) out of ``x_i``: its counterclockwise edge from i.  That edge
         carries the cell's corner rays ``x_p - x_i`` and ``x_q - x_i``, q
         being the third corner.  Pass k offers each edge (i, j) the left
-        cell of the k-th edge of row i, and a running best per edge keeps
-        the smallest (key, cell): the key is -1 on wedge cells and the
-        angle to the nearer ray otherwise.
+        cell of the k-th edge of row i.  A first round of passes keeps the
+        smallest wedge cell per edge, testing the wedge alone.  Only the
+        edges left without one, at boundary nodes, take a second round that
+        keeps the smallest (angle, cell), the angle to the nearer ray.
         """
         return _mirror_cells(self)
 
@@ -173,31 +174,47 @@ def _mirror_cells(mesh):
     det[left == nc] = 1.0
 
     w0, w1 = (x[et.i] - x[et.j]).T.copy()
+    degree = np.diff(et.indptr)
+    tol = 1e-12
+
+    def candidates(rows):
+        # per pass k, candidate k of each edge (i, j) given by its row i:
+        # the left cell of the k-th edge of row i, the last one repeated on
+        # short rows
+        first, deg = et.indptr[rows], degree[rows]
+        for k in range(deg.max(initial=0)):
+            r = first + np.minimum(k, deg - 1)
+            yield r, left[r]
+
+    # stage 1: the smallest wedge cell, whose corner wedge at x_i contains
+    # the direction x_i - x_j
+    best = np.full(len(et.i), nc)
+    for r, cell in candidates(et.i):
+        d = det[r]
+        a = (w0 * dq1[r] - w1 * dq0[r]) / d
+        b = (dp0[r] * w1 - dp1[r] * w0) / d
+        wedge = (a >= -tol) & (b >= -tol) & (cell != nc)
+        np.minimum(best, np.where(wedge, cell, nc), out=best)
+
+    # stage 2, on the edges without a wedge cell: the smallest angle to a
+    # corner ray, then the smallest cell
+    edges = np.flatnonzero(best == nc)
+    v0, v1 = w0[edges], w1[edges]
 
     def angle(d0, d1):
-        cross = np.abs(w0 * d1 - w1 * d0)
-        dot = w0 * d0 + w1 * d1
+        cross = np.abs(v0 * d1 - v1 * d0)
+        dot = v0 * d0 + v1 * d1
         return np.arctan2(cross, dot)
 
-    tol = 1e-12
-    degree = np.diff(et.indptr)
-    best_key = np.full(len(et.i), np.inf)
-    best = np.full(len(et.i), nc)
-    for k in range(degree.max(initial=0)):
-        # candidate k of edge (i, j): the left cell of the k-th edge of row
-        # i, the last one repeated on short rows
-        r = np.repeat(et.indptr[:-1] + np.minimum(k, degree - 1), degree)
-        p0, p1, q0, q1, d = dp0[r], dp1[r], dq0[r], dq1[r], det[r]
-        a = (w0 * q1 - w1 * q0) / d
-        b = (p0 * w1 - p1 * w0) / d
-        # the corner wedge of the cell contains the direction x_i - x_j
-        wedge = (a >= -tol) & (b >= -tol)
-        key = np.where(wedge, -1.0, np.minimum(angle(p0, p1), angle(q0, q1)))
-        cell = left[r]
+    best_key = np.full(len(edges), np.inf)
+    rest = np.full(len(edges), nc)
+    for r, cell in candidates(et.i[edges]):
+        key = np.minimum(angle(dp0[r], dp1[r]), angle(dq0[r], dq1[r]))
         key[cell == nc] = np.inf
-        better = (key < best_key) | ((key == best_key) & (cell < best))
+        better = (key < best_key) | ((key == best_key) & (cell < rest))
         np.copyto(best_key, key, where=better)
-        np.copyto(best, cell, where=better)
+        np.copyto(rest, cell, where=better)
+    best[edges] = rest
     return best
 
 

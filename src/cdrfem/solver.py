@@ -85,8 +85,9 @@ class SolveOptions:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, "
+                             f"got {self.tol}")
         if not 0 <= self.tail_average <= self.max_iter:
             raise ValueError(f"tail_average must lie in [0, max_iter], got "
                              f"{self.tail_average}")

@@ -112,19 +112,12 @@ def adjacency_edges(mesh):
     return (indptr, indices), (i, j, rev, eptr)
 
 
-def csr_assemble(mesh, problem):
-    """``assemble``'s arrays by scattering onto the full CSR adjacency.
-
-    The cell matrices go onto the CSR slots of ``adjacency_edges``,
-    diagonals included, with ``np.add.at``; the per-edge arrays are read
-    back through ``searchsorted`` and ``reaction_lumped`` is the full row
-    sum.  Returns a dict keyed by the ``Operators`` attribute names.
-    """
-    n = mesh.num_vertices
-    cells = mesh.cells
+def einsum_local_blocks(mesh, problem):
+    """``assembly._local_blocks`` with all four cell blocks as ``np.einsum``
+    contractions: (local_diff, local_conv, local_reac, local_b)."""
     area = mesh.cell_areas
     grads = mesh.cell_grads
-    p = mesh.vertices[cells]
+    p = mesh.vertices[mesh.cells]
     phi = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
     qpts = 0.5 * (p + np.roll(p, -1, axis=1))
@@ -141,6 +134,22 @@ def csr_assemble(mesh, problem):
     local_diff = problem.epsilon * area[:, None, None] * np.einsum(
         "cad,cbd->cab", grads, grads)
     local_b = np.einsum("aq,cq->ca", phi, fq * w)
+    return local_diff, local_conv, local_reac, local_b
+
+
+def csr_assemble(mesh, problem):
+    """``assemble``'s arrays by scattering onto the full CSR adjacency.
+
+    The ``einsum_local_blocks`` cell matrices go onto the CSR slots of
+    ``adjacency_edges``, diagonals included, with ``np.add.at``; the
+    per-edge arrays are read back through ``searchsorted`` and
+    ``reaction_lumped`` is the full row sum.  Returns a dict keyed by the
+    ``Operators`` attribute names.
+    """
+    n = mesh.num_vertices
+    cells = mesh.cells
+    local_diff, local_conv, local_reac, local_b = einsum_local_blocks(
+        mesh, problem)
 
     (indptr, indices), (ei, ej, rev, eptr) = adjacency_edges(mesh)
     rows_pat = np.repeat(np.arange(n), np.diff(indptr))

@@ -7,7 +7,7 @@ from cdrfem.assembly import DELTA
 from cdrfem.benchmarks import PROBLEMS
 from cases import classified, constant_problem
 from oracles import (adjacency_edges, csr_assemble, dense_operators,
-                     galerkin_row_residual, node_cells)
+                     einsum_local_blocks, galerkin_row_residual, node_cells)
 
 
 DIFFUSION = constant_problem(1.0, (0.0, 0.0), 0.0, 0.0)
@@ -131,6 +131,21 @@ def test_edges_and_operators_match_csr_oracle(grid_id):
                 assert np.array_equal(getattr(ops, field), ref), (level, name,
                                                                   field)
         base = refine(base)
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_assembly_bits_match_einsum_blocks(monkeypatch, name, grid_id):
+    # the loop forms of the cell blocks give the bits of their einsums
+    prob = PROBLEMS[name]()
+    mesh = classified(prob, grid_id, 3)
+    ops = assemble(mesh, prob)
+    monkeypatch.setattr("cdrfem.assembly._local_blocks", einsum_local_blocks)
+    ref = assemble(mesh, prob)
+    for field in ("diff_e", "conv_e", "reac_e", "d_e", "b",
+                  "reaction_lumped", "row_weight"):
+        assert np.array_equal(getattr(ops, field).view(np.int64),
+                              getattr(ref, field).view(np.int64)), field
 
 
 def test_row_residual_matches_dense():

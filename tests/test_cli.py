@@ -55,8 +55,15 @@ def test_solve_writes_report_and_field(tmp_path):
     assert len(values) == ndof and np.all(np.isfinite(values))
 
 
-@pytest.mark.parametrize("grid_id", [1, 2])
-def test_write_vtk_matches_scalar_writer(tmp_path, grid_id):
+@pytest.mark.parametrize("grid_id, chunk_rows", [
+    pytest.param(1, None, id="1"), pytest.param(2, None, id="2"),
+    # points, cells and values span several chunks and end on a partial one
+    pytest.param(1, 7, id="1-chunk7"), pytest.param(2, 7, id="2-chunk7"),
+])
+def test_write_vtk_matches_scalar_writer(tmp_path, monkeypatch, grid_id,
+                                         chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr("cdrfem.cli._VTK_CHUNK_ROWS", chunk_rows)
     mesh = classified(PROBLEMS["boundary-layers"](), grid_id, 3)
     rng = np.random.default_rng(grid_id)
     u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
@@ -192,7 +199,8 @@ def test_emit_vtk_writes_the_reported_iterate(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--damping", "0"], ["--damping", "1.5"], ["--max-iter", "-1"],
-    ["--tol", "0"], ["--tol=-1e-8"], ["--tail-average", "-1"],
+    ["--tol", "0"], ["--tol=-1e-8"], ["--tol", "1e400"],
+    ["--tail-average", "-1"],
     ["--max-iter", "10", "--tail-average", "11"],
 ], ids=" ".join)
 def test_invalid_options_exit_one(tmp_path, capsys, flags):

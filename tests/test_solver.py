@@ -254,7 +254,7 @@ def test_solve_rejects_bad_names_and_unclassified_mesh():
 INVALID_OPTIONS = [
     {"damping": 0.0}, {"damping": -0.5}, {"damping": 1.5},
     {"damping": float("nan")}, {"max_iter": -1}, {"tol": 0.0},
-    {"tol": -1e-8}, {"tail_average": -1},
+    {"tol": -1e-8}, {"tol": float("inf")}, {"tail_average": -1},
     {"max_iter": 10, "tail_average": 11},
     {"initial_guess": "random"}, {"initial_guess": "dirichlet-extension"},
     {"initial_guess": np.array([0.0, np.nan])},

@@ -3,10 +3,15 @@
     python3 tools/bench_pairs.py --base REV --tag NAME [--pairs 10]
         [--workload W ...] [--seed 0] [--seconds 20]
 
-exports REV with ``git archive`` into a temporary directory and runs the
-unchanged ``perfbench/run.py --workload W --seed S --seconds T`` of each
-side in its own tree, alternating: pair k runs the base first when k is
-even and the working tree first when k is odd.  Every run's end-to-end
+exports REV with ``git archive`` into the directory ``base`` of a
+temporary directory and copies the working tree's files (tracked and
+untracked, not ignored) into its sibling ``tree``: both sides run from fresh
+copies whose paths have the same length, since ``peak_rss_mib`` and
+``setup_s`` move with the directory a checkout sits in and with what earlier
+runs left in it.  It runs the unchanged ``perfbench/run.py --workload W
+--seed S --seconds T`` of each side in its own copy, alternating: pair k
+runs the base first when k is even and the working tree first when k is
+odd.  Every run's end-to-end
 metrics are read off the last line of its output, its sweep counts off its
 ``perfbench/out/<workload>/run.json``, and the minor page faults of all its
 processes off ``RUSAGE_CHILDREN``.
@@ -15,13 +20,15 @@ It writes ``BENCH_<NAME>.json`` at the root of the repository with, per
 workload and end-to-end metric of ``BENCHMARK.json``, both sides' values,
 medians and quartiles, the number of pairs the working tree won, the
 relative change of the median, and the metric's bound; plus the machine,
-the library versions and the commit ids of both sides.  A run takes about
+the library versions, the commit ids of both sides and the paths they ran
+from.  A run takes about
 25 s per workload and side with ``--seconds 20``.
 """
 
 import argparse
 import json
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,6 +43,17 @@ ROOT = Path(__file__).resolve().parents[1]
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def _copy_worktree(dest):
+    """Copy the working tree's files that git tracks or would track."""
+    files = _git("ls-files", "--cached", "--others", "--exclude-standard",
+                 "-z").split("\0")
+    for name in filter(None, files):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _run(tree, workload, seed, seconds):
@@ -116,9 +134,12 @@ def main(argv=None):
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        _export(base_commit, base)
-        trees = {"base": base, "tree": ROOT}
+        trees = {"base": Path(tmp, "base"), "tree": Path(tmp, "tree")}
+        for side, path in trees.items():
+            path.mkdir()
+            result[side]["path"] = str(path)
+        _export(base_commit, trees["base"])
+        _copy_worktree(trees["tree"])
         for workload in workloads:
             runs = []
             for k in range(args.pairs):
