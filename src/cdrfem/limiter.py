@@ -38,6 +38,17 @@ The pass over the edges relies on these invariants:
   ``alpha`` and ``ubar_s_star`` feed no iterate and are computed when
   read; ``alpha`` is read off ``alphaP``, the balancing flux the sweep
   applied.
+* Without reaction (c = 0 at every node, and no -0 in f) the net source
+  f - c u is f at every iterate, so P, sign(P) and the sink mask of the
+  balancing limiter are built once per context, as read-only arrays that
+  every state shares (``LimiterContext.fixed_balancing``).
+* When every reac_e is +0, the product reac_e (u_i - u_j) is +0 or -0 and
+  the target flux skips it.  Adding -0 changes no value, and adding +0
+  changes only a flux of -0; with u_i - u_j >= +0 the flux
+  2d((u_i - u_j)/2 - alphaP) is -0 only where the product underflows.
+* P is (s_i + s_j) times the cached 0.25 geom_ij.  Scaling by a power of
+  two is exact outside the subnormal range, so this is the sum scaled by
+  0.25 and then by geom_ij.
 """
 
 from dataclasses import dataclass, field
@@ -121,7 +132,8 @@ class LimiterContext:
     ``num_free_edges`` edges lead out of free rows; ``b_neg`` and ``b_zero``
     hold the sign of b_i on those edges.  ``two_d`` is 2*d_ij and ``bac_e``
     is b_i / a_i^C of the owner row, per edge; ``degree`` counts the edges of
-    each row.
+    each row.  ``reaction_free`` says that every reac_e is +0, and
+    ``zero_rhs`` is the read-only right-hand side of the balanced limiter.
     """
 
     def __init__(self, mesh, ops, problem):
@@ -143,6 +155,10 @@ class LimiterContext:
         # rows, so row extrema are reductions over the first axis
         k = np.arange(self.degree.max(initial=1))[:, None]
         self.row_table = et.indptr[:-1] + np.minimum(k, self.degree - 1)
+        self.zero_rhs = np.zeros(mesh.num_vertices)
+        self.zero_rhs.flags.writeable = False
+        self.reaction_free = not (np.any(ops.reac_e)
+                                  or np.any(np.signbit(ops.reac_e)))
 
     def row_bounds(self, values):
         """Per-node minimum and maximum of an edge array over each row."""
@@ -181,6 +197,41 @@ class LimiterContext:
         proj = ((x[i, 0] - x[j, 0]) * (vx[i] + vx[j])
                 + (x[i, 1] - x[j, 1]) * (vy[i] + vy[j]))
         return proj / (2.0 * m2)
+
+    @cached_property
+    def quarter_geom(self):
+        """0.25 * geom_e, the factor of the balancing flux."""
+        return 0.25 * self.geom_e
+
+    def balancing_flux(self, s):
+        """P_ij = (s_i + s_j) / 4 * geom_ij of the nodal net source s."""
+        P = np.repeat(s, self.degree)
+        P += s[self.et.j]
+        P *= self.quarter_geom
+        return P
+
+    def sink(self, P):
+        """The free edges whose limited balancing flux is capped by Q+:
+        b_i < 0, or b_i = 0 and P_ij >= 0."""
+        sink = P[:self.num_free_edges] >= 0.0
+        sink &= self.b_zero
+        sink |= self.b_neg
+        return sink
+
+    @cached_property
+    def fixed_balancing(self):
+        """(P, sign(P), sink) as read-only arrays when the net source
+        s = f - c u does not depend on u, else None.  That holds when c
+        vanishes and f has no -0: c u is then +0 or -0 at every finite
+        iterate, and f_i - (+-0) is f_i."""
+        f = self.f_node
+        if np.any(self.c_node) or np.any(np.signbit(f[f == 0.0])):
+            return None
+        P = self.balancing_flux(f)
+        fixed = P, np.sign(P), self.sink(P)
+        for a in fixed:
+            a.flags.writeable = False
+        return fixed
 
     @cached_property
     def grad_incr(self):
@@ -253,11 +304,12 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
                          umin=umin, umax=umax, wflux=wflux, rhs=ops.b,
                          rowsum=ctx.row_sums(wflux, uj))
 
-    s = ctx.f_node - ctx.c_node * u
-    P = np.repeat(s, ctx.degree)
-    P += s[et.j]
-    P *= 0.25
-    P *= ctx.geom_e
+    fixed = ctx.fixed_balancing
+    if fixed is None:
+        P = ctx.balancing_flux(ctx.f_node - ctx.c_node * u)
+        sgn, sink = np.sign(P), ctx.sink(P)
+    else:
+        P, sgn, sink = fixed
 
     # one-sided windows around the bar state; the full variant widens them
     # by half the fictitious-value increment
@@ -268,20 +320,17 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     Qm -= ubar
     Qm -= ctx.bac_e
     if fict is not None:
-        half = 0.5 * fict
-        np.maximum(half, Qp, out=Qp)
-        np.minimum(half, Qm, out=Qm)
+        fict *= 0.5
+        np.maximum(fict, Qp, out=Qp)
+        np.minimum(fict, Qm, out=Qm)
 
     if alpha_override is None:
         # limit_balancing: R|P| of the owner row (|P| on Dirichlet rows),
         # then the smaller magnitude of both orientations
-        sgn = np.sign(P)
-        Pf = P[:nf]
-        sink = ctx.b_neg | (ctx.b_zero & (Pf >= 0.0))
         rp = np.empty_like(P)
-        np.multiply(sgn[:nf], np.where(sink, np.minimum(Pf, Qp[:nf]),
-                                       np.maximum(Pf, Qm[:nf])),
-                    out=rp[:nf])
+        np.maximum(P[:nf], Qm[:nf], out=rp[:nf])
+        np.minimum(P[:nf], Qp[:nf], out=rp[:nf], where=sink)
+        rp[:nf] *= sgn[:nf]
         np.abs(P[nf:], out=rp[nf:])
         alphaP = np.minimum(rp, rp[et.rev])
         alphaP *= sgn
@@ -294,8 +343,9 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     fs = 0.5 * du
     fs -= alphaP
     fs *= two_d
-    np.multiply(ops.reac_e, du, out=tmp)
-    fs += tmp
+    if not ctx.reaction_free:
+        np.multiply(ops.reac_e, du, out=tmp)
+        fs += tmp
     bar_min, bar_max = ctx.row_bounds(ubar_s)
 
     # rows of Dirichlet nodes carry no fluxes in the final system
@@ -314,9 +364,11 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
         lo *= two_d
         lo[nf:] = -np.inf
         rev = et.rev[:nf]
-        cap = np.negative(lo[rev])
+        cap = lo[rev]
+        np.negative(cap, out=cap)
         np.minimum(hi[:nf], cap, out=cap)
-        floor = np.negative(hi[rev])
+        floor = hi[rev]
+        np.negative(floor, out=floor)
         np.maximum(lo[:nf], floor, out=floor)
         # floor <= 0 <= cap, so clipping equals the sign-wise selection
         np.maximum(fs[:nf], floor, out=fs_star[:nf])
@@ -329,6 +381,6 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     return EdgeState(ei=et.i, ej=et.j, ubar=ubar, P=P, Qp=Qp, Qm=Qm,
                      alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
                      bar_min=bar_min, bar_max=bar_max, wflux=wflux,
-                     rhs=np.zeros(len(u)), rowsum=ctx.row_sums(wflux, uj),
+                     rhs=ctx.zero_rhs, rowsum=ctx.row_sums(wflux, uj),
                      ctx=ctx)
 

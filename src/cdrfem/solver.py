@@ -83,6 +83,14 @@ class SolveOptions:
             raise ValueError(f"unknown variant {self.wb_variant!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        for name in ("max_iter", "tail_average"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.check_bounds, (bool, np.bool_)):
+            raise ValueError(f"check_bounds must be a bool, got "
+                             f"{self.check_bounds!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not 0.0 < self.tol < np.inf:
@@ -169,7 +177,15 @@ class _GaussSeidel:
     ``groups`` holds its rows, its free-column edges' columns, their row
     position within the colour and L_ij, and the rows' L_ii.  The colours run
     forward, then backward without the last one, whose second update would
-    change nothing."""
+    change nothing.
+
+    The forward colours read only columns already updated: ``forward``
+    holds, per colour, the columns, positions and L_ij of its edges into
+    lower colours.  The columns of higher colours still hold the zero start,
+    and their products, +0 or -0, change no bit of a sum that starts at +0.
+    Colour 0 reads no column and adds +0.0 in place of that sum, which turns
+    a residual of -0 into +0 as the sum did; that sign is the result when
+    there is only one colour."""
 
     def __init__(self, ops):
         self.m = m = ops.num_free
@@ -185,19 +201,29 @@ class _GaussSeidel:
         # the colour of each free-column edge's row, -1 on Dirichlet columns
         edge_colour = np.where(j < m, self.colour[i], -1)
         position = np.empty(m, dtype=np.int32)
-        self.groups = []
+        self.groups, self.forward = [], []
         for c in range(int(self.colour.max()) + 1):
             rows = np.flatnonzero(self.colour == c).astype(np.int32)
             position[rows] = np.arange(len(rows), dtype=np.int32)
             e = np.flatnonzero(edge_colour == c)
-            self.groups.append((rows, j[e].astype(np.int32), position[i[e]],
-                                -(d[e] - conv[e] - diff[e]), diag[rows]))
+            group = (rows, j[e].astype(np.int32), position[i[e]],
+                     -(d[e] - conv[e] - diff[e]), diag[rows])
+            self.groups.append(group)
+            # the forward pass reads only the columns of lower colours
+            lower = self.colour[group[1]] < c
+            self.forward.append(tuple(a[lower] for a in group[1:4]))
 
     def correction(self, r):
         """f = -P^-1 r: the sweep applied to L f = -r from f = 0."""
         f = np.zeros(self.m)
-        last = len(self.groups) - 1
-        for c in [*range(last + 1), *range(last - 1, -1, -1)]:
+        # colour 0 reads only zeros; their sum would be +0, hence the + 0.0
+        rows, diag = self.groups[0][0], self.groups[0][4]
+        f[rows] = -(r[rows] + 0.0) / diag
+        for (rows, *_, diag), (cols, pos, off) in zip(self.groups[1:],
+                                                      self.forward[1:]):
+            s = np.bincount(pos, off * f[cols], minlength=len(rows))
+            f[rows] = -(r[rows] + s) / diag
+        for c in range(len(self.groups) - 2, -1, -1):
             rows, cols, pos, off, diag = self.groups[c]
             s = np.bincount(pos, off * f[cols], minlength=len(rows))
             f[rows] = -(r[rows] + s) / diag

@@ -387,3 +387,16 @@ def block_gauss_seidel(A, colour, rhs):
         x[own] = np.linalg.solve(A[np.ix_(own, own)],
                                  rhs[own] - A[np.ix_(own, ~own)] @ x[~own])
     return x
+
+
+def untrimmed_correction(groups, r):
+    """``_GaussSeidel.correction`` as first written: every colour of both
+    passes gathers all its free columns from the colour ``groups``, the
+    zeros of the colours not yet updated included."""
+    f = np.zeros(len(r))
+    last = len(groups) - 1
+    for c in [*range(last + 1), *range(last - 1, -1, -1)]:
+        rows, cols, pos, off, diag = groups[c]
+        s = np.bincount(pos, off * f[cols], minlength=len(rows))
+        f[rows] = -(r[rows] + s) / diag
+    return f

@@ -414,3 +414,51 @@ def test_grad_incr_oracle(name, grid_id):
                      for i, j in zip(et.i.tolist(), et.j.tolist())])
     got = ctx.fictitious_increment(u)
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(u).max())
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", ["equilibrium", "boundary-layers"])
+def test_reaction_free_balancing_flux_built_once(name, grid_id):
+    # without reaction P does not depend on u: every sweep shares one
+    # read-only array, (s_i + s_j) / 4 * geom_ij bit for bit
+    prob = PROBLEMS[name]()
+    mesh, ops, ctx = limiter_case(prob, grid_id, 3)
+    et = mesh.edges
+    rng = np.random.default_rng(67)
+    u1, u2 = (random_iterate(mesh, prob, rng) for _ in range(2))
+    first, second = edge_state(ctx, u1), edge_state(ctx, u2)
+    assert first.P is second.P
+    for u in (u1, u2):
+        s = ctx.f_node - ctx.c_node * u
+        want = 0.25 * (s[et.i] + s[et.j]) * ctx.geom_e
+        assert first.P.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        first.P[0] = 1.0
+
+
+def test_reactive_balancing_flux_follows_iterate():
+    prob = PROBLEMS["circular-convection"]()
+    mesh, ops, ctx = limiter_case(prob, 1, 3)
+    et = mesh.edges
+    rng = np.random.default_rng(71)
+    u1, u2 = (random_iterate(mesh, prob, rng) for _ in range(2))
+    first, second = edge_state(ctx, u1), edge_state(ctx, u2)
+    assert not np.array_equal(first.P, second.P)
+    for st, u in ((first, u1), (second, u2)):
+        s = ctx.f_node - ctx.c_node * u
+        want = 0.25 * (s[et.i] + s[et.j]) * ctx.geom_e
+        assert st.P.tobytes() == want.tobytes()
+
+
+def test_negative_zero_source_keeps_per_sweep_balancing_flux():
+    # with f = -0 the net source -0 - 0 u is +0 or -0 by the sign of u, so
+    # P is rebuilt from each iterate, down to the sign of its zeros
+    prob = constant_problem(1.0, (1.0, 0.5), 0.0, -0.0)
+    mesh, ops, ctx = limiter_case(prob, 2, 2)
+    et = mesh.edges
+    u = random_iterate(mesh, prob, np.random.default_rng(73))
+    assert ctx.fixed_balancing is None
+    s = ctx.f_node - ctx.c_node * u
+    assert np.any(np.signbit(s)) and not np.all(np.signbit(s))
+    want = 0.25 * (s[et.i] + s[et.j]) * ctx.geom_e
+    assert edge_state(ctx, u).P.tobytes() == want.tobytes()

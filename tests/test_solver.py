@@ -11,7 +11,7 @@ from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _GaussSeidel,
                            _initial_iterate, residual)
 from cases import classified, constant_problem, limiter_case, refined
 from oracles import (block_gauss_seidel, dense_operators, low_order_matrix,
-                     row_residual)
+                     row_residual, untrimmed_correction)
 
 
 # diffusion-dominated; the plain update contracts fast
@@ -128,6 +128,27 @@ def test_correction_matches_dense_gauss_seidel(grid_id):
     r = np.random.default_rng(3).standard_normal(m)
     want = block_gauss_seidel(L[:m, :m], gs.colour, -r)
     assert np.abs(gs.correction(r) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name, grid_id, level", [
+    ("circular-layers", 1, 4), ("circular-layers", 2, 4),
+    ("equilibrium", 1, 4), ("equilibrium", 2, 4), ("interior-layers", 1, 1)])
+def test_correction_bits_match_untrimmed_sweep(name, grid_id, level):
+    # the forward colours skip the columns still at zero; that changes no
+    # bit of f, signed zeros of r included (circular-layers is reactive,
+    # equilibrium reaction-free; the single unknown of interior-layers at
+    # level 1 is one colour, whose forward update is the result)
+    prob = PROBLEMS[name]()
+    mesh = classified(prob, grid_id, level)
+    gs = _GaussSeidel(assemble(mesh, prob))
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal(mesh.num_free)
+    pick = rng.random(r.size)
+    r[pick < 0.1] = 0.0
+    r[pick > 0.9] = -0.0
+    for rhs in (r, -r, np.zeros_like(r), np.full_like(r, -0.0)):
+        want = untrimmed_correction(gs.groups, rhs)
+        assert gs.correction(rhs).tobytes() == want.tobytes()
 
 
 def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
@@ -261,6 +282,9 @@ INVALID_OPTIONS = [
     {"initial_guess": np.array(["0", "1"])},
     {"limiter": "mc", "check_bounds": True},
     {"limiter": "galerkin", "check_bounds": True},
+    {"max_iter": 2.5}, {"max_iter": 10.0}, {"max_iter": True},
+    {"tail_average": 1.5}, {"tail_average": True}, {"tail_average": "2"},
+    {"check_bounds": "no"}, {"check_bounds": 1},
 ]
 
 
@@ -277,6 +301,21 @@ def test_invalid_options_rejected(kwargs):
         setattr(opts, name, value)
     with pytest.raises(ValueError):
         solve(mesh, prob, opts)
+
+
+def test_numpy_counts_accepted():
+    # NumPy integers and bools are valid counts and flags, and give the
+    # run that the Python values give
+    prob = PROBLEMS["equilibrium"]()
+    mesh = classified(prob, 1, 2)
+    plain = solve(mesh, prob, SolveOptions(max_iter=3, tail_average=2,
+                                           check_bounds=True))
+    counted = solve(mesh, prob, SolveOptions(max_iter=np.int64(3),
+                                             tail_average=np.int32(2),
+                                             check_bounds=np.True_))
+    assert counted.iterations == plain.iterations == 3
+    assert counted.u.tobytes() == plain.u.tobytes()
+    assert counted.bound_check == plain.bound_check
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,7 +7,9 @@ identity set below in that export and in this working tree, each in its own
 process with ``PYTHONPATH`` set to the tree's ``src``:
 
 * solves, compared on the bytes of ``u`` and ``residual_history`` and on
-  ``iterations``, ``converged``, ``restarts`` and ``bound_check``;
+  ``iterations``, ``converged``, ``restarts`` and ``bound_check``; among
+  them the zero-sweep solve from the exact ramp that the level-8 benchmark
+  workload runs, here at grid 2, level 6;
 * CLI runs through ``cdrfem.cli.run``, compared on every file they write
   and on stdout: the criterion-8 ladder at levels 3:5 (the ``ladder-cc``
   benchmark workload), two single-level ``solve`` runs, one with an exact
@@ -31,9 +33,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> (problem, grid, level, SolveOptions keywords)
+# name -> (problem, grid, level, SolveOptions keywords); the initial guess
+# "exact" stands for the exact solution at the nodes
 SOLVES = {
     "equilibrium g1 L7": ("equilibrium", 1, 7, {}),
+    "equilibrium g2 L5 simplified":
+        ("equilibrium", 2, 5, {"wb_variant": "simplified"}),
+    "equilibrium g2 L6 from the ramp check_bounds":
+        ("equilibrium", 2, 6, {"initial_guess": "exact",
+                               "check_bounds": True}),
     "mc boundary-layers g2 L5": ("boundary-layers", 2, 5, {"limiter": "mc"}),
     "galerkin interior-layers g2 L4":
         ("interior-layers", 2, 4, {"limiter": "galerkin"}),
@@ -81,6 +89,10 @@ def collect(tree, out):
         for _ in range(level):
             mesh = refine(mesh)
         mesh = classify_and_order(mesh, problem)
+        if kwargs.get("initial_guess") == "exact":
+            x = mesh.vertices
+            kwargs = dict(kwargs,
+                          initial_guess=problem.exact(x[:, 0], x[:, 1]))
         path = _case_dir(out, name)
         try:
             rep = solve(mesh, problem, SolveOptions(**kwargs))
