@@ -43,6 +43,6 @@ for limiter, variant, label in [("wmc", "full", "well-balanced limiter"),
 
 # At the exact equilibrium the full variant leaves every flux untouched:
 # the limiting factors are all one and the clipped fluxes vanish.
-state = edge_state(LimiterContext(mesh, ops, problem), x)
+state = edge_state(LimiterContext(ops, problem), x)
 print(f"\nat u = x: min alpha = {state.alpha.min():.17f}, "
       f"max |f*| = {np.abs(state.fs_star).max():.3e}")

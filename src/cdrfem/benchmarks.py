@@ -43,8 +43,23 @@ class ProblemSpec:
                              f"{self.epsilon}")
 
 
-def _zero(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def _constant(value):
+    """The field (x, y) -> value, a float array of the broadcast shape."""
+    value = float(value)
+    return lambda x, y: np.full(np.broadcast(x, y).shape, value)
+
+
+def _uniform_flow(vx, vy):
+    """The constant velocity field (x, y) -> (vx, vy)."""
+    fx, fy = _constant(vx), _constant(vy)
+    return lambda x, y: (fx(x, y), fy(x, y))
+
+
+def _rotation(x, y):
+    """The rotating velocity field (x, y) -> (y, -x)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    return y.copy(), -x
 
 
 def problem_interior_layers(epsilon=1e-8):
@@ -64,13 +79,9 @@ def problem_interior_layers(epsilon=1e-8):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.75, 25.0, 0.0) * np.ones_like(np.asarray(y, dtype=float))
 
-    def velocity(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.ones_like(x), np.zeros_like(np.asarray(y, dtype=float))
-
     return ProblemSpec(name="interior-layers", epsilon=float(epsilon),
-                       velocity=velocity, reaction=reaction, source=source,
-                       dirichlet=_zero)
+                       velocity=_uniform_flow(1.0, 0.0), reaction=reaction,
+                       source=source, dirichlet=_constant(0.0))
 
 
 def problem_boundary_layers(epsilon=1e-3):
@@ -101,13 +112,10 @@ def problem_boundary_layers(epsilon=1e-3):
         return (2.0 * y ** 2 + 6.0 * x * y - 2.0 * eps * x
                 + (2.0 * eps - 6.0 * y) * e1 - 2.0 * e2)
 
-    def velocity(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, 2.0), np.full_like(np.asarray(y, dtype=float), 3.0)
-
-    return ProblemSpec(name="boundary-layers", epsilon=eps, velocity=velocity,
-                       reaction=_zero, source=source, dirichlet=exact,
-                       exact=exact)
+    return ProblemSpec(name="boundary-layers", epsilon=eps,
+                       velocity=_uniform_flow(2.0, 3.0),
+                       reaction=_constant(0.0), source=source,
+                       dirichlet=exact, exact=exact)
 
 
 def problem_circular_layers(epsilon=1e-4):
@@ -126,13 +134,9 @@ def problem_circular_layers(epsilon=1e-4):
     def reaction(x, y):
         return 1.0 - annulus(x, y)
 
-    def velocity(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return y, -x
-
     return ProblemSpec(name="circular-layers", epsilon=float(epsilon),
-                       velocity=velocity, reaction=reaction, source=annulus,
-                       dirichlet=_zero, neumann_sides=(BOTTOM,))
+                       velocity=_rotation, reaction=reaction, source=annulus,
+                       dirichlet=_constant(0.0), neumann_sides=(BOTTOM,))
 
 
 def problem_circular_convection():
@@ -147,16 +151,10 @@ def problem_circular_convection():
         r = np.sqrt(x ** 2 + y ** 2)
         return np.exp(-100.0 * (r - 0.7) ** 2)
 
-    def one(x, y):
-        return np.ones_like(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
-
-    def velocity(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return y, -x
-
     return ProblemSpec(name="circular-convection", epsilon=0.0,
-                       velocity=velocity, reaction=one, source=exact,
-                       dirichlet=exact, boundary="inflow", exact=exact)
+                       velocity=_rotation, reaction=_constant(1.0),
+                       source=exact, dirichlet=exact, boundary="inflow",
+                       exact=exact)
 
 
 def problem_equilibrium(epsilon=1e-6, vhat=(1.0, 0.0), fhat=1.0):
@@ -176,16 +174,9 @@ def problem_equilibrium(epsilon=1e-6, vhat=(1.0, 0.0), fhat=1.0):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return fhat * (x * vhat[0] + y * vhat[1]) / speed2
 
-    def velocity(x, y):
-        shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
-        return np.full(shape, vhat[0]), np.full(shape, vhat[1])
-
-    def source(x, y):
-        shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
-        return np.full(shape, fhat)
-
     return ProblemSpec(name="equilibrium", epsilon=float(epsilon),
-                       velocity=velocity, reaction=_zero, source=source,
+                       velocity=_uniform_flow(*vhat),
+                       reaction=_constant(0.0), source=_constant(fhat),
                        dirichlet=exact, exact=exact)
 
 
@@ -303,6 +294,9 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     if options is None:
         options = SolveOptions()
     levels = list(levels)
+    if any(not isinstance(lev, (int, np.integer)) or isinstance(lev, bool)
+           for lev in levels):
+        raise ValueError(f"levels must be integers, got {levels!r}")
     if not levels or levels[0] < 0 or any(
             b - a != 1 for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be nonnegative, consecutive and "

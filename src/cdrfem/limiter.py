@@ -42,13 +42,6 @@ The pass over the edges relies on these invariants:
   f - c u is f at every iterate, so P, sign(P) and the sink mask of the
   balancing limiter are built once per context, as read-only arrays that
   every state shares (``LimiterContext.fixed_balancing``).
-* When every reac_e is +0, the product reac_e (u_i - u_j) is +0 or -0 and
-  the target flux skips it.  Adding -0 changes no value, and adding +0
-  changes only a flux of -0; with u_i - u_j >= +0 the flux
-  2d((u_i - u_j)/2 - alphaP) is -0 only where the product underflows.
-* P is (s_i + s_j) times the cached 0.25 geom_ij.  Scaling by a power of
-  two is exact outside the subnormal range, so this is the sum scaled by
-  0.25 and then by geom_ij.
 """
 
 from dataclasses import dataclass, field
@@ -132,12 +125,13 @@ class LimiterContext:
     ``num_free_edges`` edges lead out of free rows; ``b_neg`` and ``b_zero``
     hold the sign of b_i on those edges.  ``two_d`` is 2*d_ij and ``bac_e``
     is b_i / a_i^C of the owner row, per edge; ``degree`` counts the edges of
-    each row.  ``reaction_free`` says that every reac_e is +0, and
-    ``zero_rhs`` is the read-only right-hand side of the balanced limiter.
+    each row, and ``zero_rhs`` is the read-only right-hand side of the
+    balanced limiter.  ``LimiterContext(ops, problem)`` reads the mesh off
+    the operators.
     """
 
-    def __init__(self, mesh, ops, problem):
-        self.mesh = mesh
+    def __init__(self, ops, problem):
+        mesh = self.mesh = ops.mesh
         self.ops = ops
         self.problem = problem
         et = self.et = mesh.edges
@@ -157,8 +151,6 @@ class LimiterContext:
         self.row_table = et.indptr[:-1] + np.minimum(k, self.degree - 1)
         self.zero_rhs = np.zeros(mesh.num_vertices)
         self.zero_rhs.flags.writeable = False
-        self.reaction_free = not (np.any(ops.reac_e)
-                                  or np.any(np.signbit(ops.reac_e)))
 
     def row_bounds(self, values):
         """Per-node minimum and maximum of an edge array over each row."""
@@ -198,16 +190,12 @@ class LimiterContext:
                 + (x[i, 1] - x[j, 1]) * (vy[i] + vy[j]))
         return proj / (2.0 * m2)
 
-    @cached_property
-    def quarter_geom(self):
-        """0.25 * geom_e, the factor of the balancing flux."""
-        return 0.25 * self.geom_e
-
     def balancing_flux(self, s):
         """P_ij = (s_i + s_j) / 4 * geom_ij of the nodal net source s."""
         P = np.repeat(s, self.degree)
         P += s[self.et.j]
-        P *= self.quarter_geom
+        P *= 0.25
+        P *= self.geom_e
         return P
 
     def sink(self, P):
@@ -343,9 +331,8 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
     fs = 0.5 * du
     fs -= alphaP
     fs *= two_d
-    if not ctx.reaction_free:
-        np.multiply(ops.reac_e, du, out=tmp)
-        fs += tmp
+    np.multiply(ops.reac_e, du, out=tmp)
+    fs += tmp
     bar_min, bar_max = ctx.row_bounds(ubar_s)
 
     # rows of Dirichlet nodes carry no fluxes in the final system

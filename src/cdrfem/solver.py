@@ -299,6 +299,8 @@ def solve(mesh, problem, options=None, ops=None):
     options.validate()
     if mesh.num_free is None:
         raise ValueError("mesh must be classified before solving")
+    if ops is not None and ops.mesh is not mesh:
+        raise ValueError("ops were assembled on another mesh")
     n = mesh.num_vertices
     guess = options.initial_guess
     if isinstance(guess, np.ndarray) and guess.shape != (n,):
@@ -306,7 +308,7 @@ def solve(mesh, problem, options=None, ops=None):
     if ops is None:
         ops = assemble(mesh, problem)
 
-    ctx = LimiterContext(mesh, ops, problem)
+    ctx = LimiterContext(ops, problem)
     u = _initial_iterate(mesh, problem, guess)
     tail = options.tail_average
     mixer = _Anderson(mesh.num_free, float(options.damping))
@@ -377,6 +379,8 @@ def audit_dmp(report, mesh, ops, problem, slack=1e-10):
     reports not-applicable.  ``violations`` counts nodes beyond ``slack``;
     ``max_violation`` is the raw worst overshoot.
     """
+    if ops.mesh is not mesh:
+        raise ValueError("ops were assembled on another mesh")
     u = report.u
     m = mesh.num_free
     et = mesh.edges

@@ -8,6 +8,7 @@ import numpy as np
 
 from cdrfem import (ProblemSpec, assemble, build_level0, classify_and_order,
                     refine)
+from cdrfem.benchmarks import _constant, _uniform_flow
 from cdrfem.limiter import LimiterContext
 
 
@@ -29,7 +30,7 @@ def limiter_case(problem, grid_id, level):
     context of ``problem`` on it."""
     mesh = classified(problem, grid_id, level)
     ops = assemble(mesh, problem)
-    return mesh, ops, LimiterContext(mesh, ops, problem)
+    return mesh, ops, LimiterContext(ops, problem)
 
 
 def random_iterate(mesh, problem, rng, spread=1.0):
@@ -53,11 +54,7 @@ def row_scale(ops, state, u):
 def constant_problem(epsilon, velocity, reaction, source, dirichlet=0.0):
     """A ``ProblemSpec`` with constant coefficients and boundary data;
     ``velocity`` is the pair (vx, vy)."""
-    def const(value):
-        return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
-
-    vx, vy = map(const, velocity)
     return ProblemSpec(name="constant", epsilon=epsilon,
-                       velocity=lambda x, y: (vx(x, y), vy(x, y)),
-                       reaction=const(reaction), source=const(source),
-                       dirichlet=const(dirichlet))
+                       velocity=_uniform_flow(*velocity),
+                       reaction=_constant(reaction), source=_constant(source),
+                       dirichlet=_constant(dirichlet))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cdrfem.mesh
 import cdrfem.solver
 from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
                     convergence_study, eoc, error_norms, solve)
@@ -20,6 +21,30 @@ def test_interior_layers_coefficients():
     vx, vy = p.velocity(0.3, 0.9)
     assert vx == 1.0 and vy == 0.0
     assert p.dirichlet(0.0, 0.4) == 0.0
+
+
+FIELD_INPUTS = [
+    (0.3, 0.7),
+    (np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)),
+    tuple(np.meshgrid(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_fields_are_float_arrays_of_the_broadcast_shape(name):
+    # a 0-d result may be a NumPy float scalar, as ufuncs return it
+    p = PROBLEMS[name]()
+    for x, y in FIELD_INPUTS:
+        velocity = p.velocity(x, y)
+        assert len(velocity) == 2
+        values = [*velocity, p.reaction(x, y), p.source(x, y),
+                  p.dirichlet(x, y)]
+        if p.exact is not None:
+            values.append(p.exact(x, y))
+        for v in values:
+            assert isinstance(v, (np.ndarray, np.floating))
+            assert v.dtype == np.float64
+            assert v.shape == np.broadcast(x, y).shape
 
 
 def test_boundary_layers_values():
@@ -165,7 +190,7 @@ def test_convergence_study_single_level_and_no_exact():
     assert all(r.l1_error is None and r.eoc_l1 is None for r in recs)
 
 
-def test_convergence_study_rejects_bad_levels():
+def test_convergence_study_rejects_bad_levels(monkeypatch):
     p = PROBLEMS["circular-convection"]()
     with pytest.raises(ValueError):
         convergence_study(p, 1, [3, 5], SolveOptions())
@@ -175,6 +200,18 @@ def test_convergence_study_rejects_bad_levels():
         convergence_study(p, 1, [-1, 0], SolveOptions())
     with pytest.raises(ValueError):
         convergence_study(p, 1, [], SolveOptions())
+    [rec] = convergence_study(PROBLEMS["equilibrium"](), 1, [np.int64(1)])
+    assert rec.level == 1 and rec.converged
+
+    # bools and non-integers are rejected before any mesh is built, by the
+    # rule of SolveOptions.max_iter
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh built before the levels were checked")
+
+    monkeypatch.setattr(cdrfem.mesh, "build_level0", no_mesh)
+    for levels in ([True], [2.5], [1, 2.0], [np.int64(0), np.bool_(True)]):
+        with pytest.raises(ValueError, match="integers"):
+            convergence_study(p, 1, levels)
 
 
 def test_level_record_carries_its_solve():

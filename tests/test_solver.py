@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cdrfem.solver
-from cdrfem import PROBLEMS, SolveOptions, assemble, audit_dmp, solve
+from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
+                    classify_and_order, solve)
 from cdrfem.benchmarks import problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _GaussSeidel,
@@ -184,7 +185,7 @@ def dense_correction(mesh, prob, ops):
     m = mesh.num_free
     L = low_order_matrix(mesh, prob)[:m, :m]
     colour = _GaussSeidel(ops).colour
-    ctx = LimiterContext(mesh, ops, prob)
+    ctx = LimiterContext(ops, prob)
     return lambda u: block_gauss_seidel(
         L, colour, -residual(ops, edge_state(ctx, u), u))
 
@@ -258,6 +259,35 @@ def test_wrong_length_guess_rejected_before_assembly(monkeypatch):
     monkeypatch.setattr(cdrfem.solver, "assemble", no_assembly)
     with pytest.raises(ValueError, match="shape"):
         solve(mesh, prob, SolveOptions(initial_guess=np.zeros(3)))
+
+
+def foreign_operators_case():
+    """(mesh, problem, ops): the interior-layers classification of one
+    level-3 grid and the circular-layers operators of the same grid."""
+    base = refined(1, 3)
+    circ, inner = PROBLEMS["circular-layers"](), PROBLEMS["interior-layers"]()
+    ops = assemble(classify_and_order(base, circ), circ)
+    return classify_and_order(base, inner), inner, ops
+
+
+def test_foreign_operators_rejected_before_limiter_context(monkeypatch):
+    mesh, prob, ops = foreign_operators_case()
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("limiter context built before the operators "
+                             "were checked")
+
+    monkeypatch.setattr(cdrfem.solver, "LimiterContext", no_context)
+    with pytest.raises(ValueError, match="another mesh"):
+        solve(mesh, prob, SolveOptions(), ops=ops)
+
+
+def test_audit_rejects_foreign_operators():
+    mesh, prob, ops = foreign_operators_case()
+    rep = solve(ops.mesh, PROBLEMS["circular-layers"](),
+                SolveOptions(max_iter=0), ops=ops)
+    with pytest.raises(ValueError, match="another mesh"):
+        audit_dmp(rep, mesh, ops, prob)
 
 
 def test_solve_rejects_bad_names_and_unclassified_mesh():

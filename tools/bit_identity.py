@@ -15,7 +15,12 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   benchmark workload), two single-level ``solve`` runs, one with an exact
   solution and one without, and one ``audit`` run;
 * the stdout of every script in ``demos/``, each run from an empty
-  directory.
+  directory;
+* ``problem fields``: the bytes, dtype and shape of every field of every
+  problem in ``PROBLEMS`` (both velocity components, reaction, source,
+  Dirichlet data and, where set, the exact solution) at the vertices and
+  at the cell-edge midpoints of both grids at level 3, and at one scalar
+  point.
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
 case differs.  The set takes about 10 s on a 2-vCPU machine.
@@ -30,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +75,23 @@ CLI_RUNS = {
         ["audit", "--problem", "circular-layers", "--level", "4",
          "--damping", "0.5"],
 }
+
+
+def _field_points():
+    """name -> (x, y): the point sets of the ``problem fields`` case."""
+    from cdrfem import build_level0, refine
+
+    points = {"scalar": (0.3, 0.7)}
+    for grid in (1, 2):
+        mesh = build_level0(grid)
+        for _ in range(3):
+            mesh = refine(mesh)
+        x = mesh.vertices
+        p = x[mesh.cells]
+        mid = 0.5 * (p + np.roll(p, -1, axis=1))
+        points[f"g{grid} L3 vertices"] = (x[:, 0], x[:, 1])
+        points[f"g{grid} L3 edge midpoints"] = (mid[:, :, 0], mid[:, :, 1])
+    return points
 
 
 def _case_dir(out, name):
@@ -114,6 +138,24 @@ def collect(tree, out):
         with contextlib.redirect_stdout(stdout):
             code = cdrfem.cli.run(argv + ["--outdir", str(path)])
         (path / "stdout.txt").write_text(f"exit {code}\n" + stdout.getvalue())
+
+    path = _case_dir(out, "problem fields")
+    points = _field_points()
+    for pname, factory in PROBLEMS.items():
+        problem = factory()
+        chunks = []
+        for label, (x, y) in points.items():
+            for fname in ("velocity", "reaction", "source", "dirichlet",
+                          "exact"):
+                field = getattr(problem, fname)
+                if field is None:
+                    continue
+                values = field(x, y)
+                for v in values if fname == "velocity" else (values,):
+                    v = np.asarray(v)
+                    chunks.append(f"{label} {fname} {v.dtype} {v.shape}\n"
+                                  .encode() + v.tobytes())
+        (path / f"{pname}.bin").write_bytes(b"".join(chunks))
 
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
     for script in sorted(Path(tree, "demos").glob("*.py")):
