@@ -18,6 +18,8 @@ switched off the edge form reproduces the assembled Galerkin residual to
 machine precision.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from cdrfem import PROBLEMS, assemble, build_level0, classify_and_order, galerkin_residual, refine
@@ -52,7 +54,14 @@ print(f"max |f^s_ij + f^s_ji| = {np.abs(state.fs + state.fs[rev]).max():.2e}")
 
 # With alpha pinned to 1 and clipping disabled the flux decomposition is an
 # identity: its residual equals the assembled-matrix Galerkin residual.
-raw = edge_state(ctx, u, alpha_override=1.0, limit_fluxes=False)
+# At alpha = 1 the shifted bar state is ubar + P + b_i/a_i^C and the target
+# flux 2 d (du/2 - P) + reac du.
+et, P = mesh.edges, state.P
+du = u[et.i] - u[et.j]
+ubar_s = state.ubar + P + ops.b[et.i] / ops.art_row[et.i]
+wflux = 2.0 * ops.d_e * ubar_s + (2.0 * ops.d_e * (0.5 * du - P)
+                                  + ops.reac_e * du)
+raw = replace(state, rowsum=ctx.row_sums(wflux, u[et.j]))
 gap = np.abs(residual(ops, raw, u) - galerkin_residual(ops, u)).max()
 print(f"\nunlimited edge form vs assembled Galerkin rows: "
       f"max gap = {gap:.2e}")

@@ -222,6 +222,8 @@ def error_norms(mesh, u, exact):
     (l1, l2) : floats
     """
     u = np.asarray(u, dtype=float)
+    if u.shape != (mesh.num_vertices,):
+        raise ValueError(f"expected {mesh.num_vertices} nodal values")
     p = mesh.vertices[mesh.cells]                      # (c, 3, 2)
     uc = u[mesh.cells]                                 # (c, 3)
     # quadrature points (c, q, 2), summed over k in the order, and so with
@@ -285,6 +287,7 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     list of ErrorRecord, one per level; orders are left empty on the first
     level and whenever the problem has no exact solution.
     """
+    # imported per call so that tests can patch solver.solve, mesh.build_level0
     from dataclasses import replace
 
     from .assembly import assemble

@@ -48,6 +48,9 @@ def _write_rows(out, fmt, rows):
 
 def write_vtk(mesh, u, path):
     """Legacy ASCII VTK unstructured grid with one point scalar field."""
+    u = np.asarray(u)
+    if u.shape != (mesh.num_vertices,):
+        raise ValueError(f"expected {mesh.num_vertices} nodal values")
     with open(path, "w") as out:
         out.write("# vtk DataFile Version 2.0\ncdrfem solution\n")
         out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
@@ -59,7 +62,7 @@ def write_vtk(mesh, u, path):
         out.write("5\n" * mesh.num_cells)
         out.write(f"POINT_DATA {mesh.num_vertices}\n")
         out.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        _write_rows(out, "%.17g\n", np.asarray(u))
+        _write_rows(out, "%.17g\n", u)
 
 
 def write_audit(checks, path):

@@ -75,7 +75,7 @@ class EdgeState:
     ``rowsum`` the sums over j of wflux_ij - a_ij^D u_j, per unknown row.
     The balanced limiter's diagnostics ``alpha`` and ``ubar_s_star`` feed
     no iterate; they are computed on first read.  ``alpha`` is the factor
-    the state applied, ``alphaP / P``, also under ``alpha_override``.
+    the state applied, ``alphaP / P``.
     """
 
     ei: np.ndarray
@@ -243,15 +243,9 @@ class LimiterContext:
         return out
 
 
-def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
-               limit_fluxes=True):
-    """Evaluate one limiter sweep at the iterate u.
-
-    ``variant`` applies to ``wmc`` only.  ``limit_fluxes=False`` skips the
-    flux clip of ``mc`` and ``wmc``, and ``alpha_override`` replaces the
-    balanced limiter's factors in ``alphaP``, which ``alpha`` then reports;
-    both exist for identity checks, not for production runs.
-    """
+def edge_state(ctx, u, limiter="wmc", variant="full"):
+    """Evaluate one limiter sweep at the iterate u; ``variant`` applies to
+    ``wmc`` only."""
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     balanced = limiter == "wmc"
@@ -282,10 +276,8 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
             umin, umax = ctx.row_bounds(uj)
             np.minimum(umin, u, out=umin)
             np.maximum(umax, u, out=umax)
-            fstar = f
-            if limit_fluxes:
-                fstar = mc_limit(f, ops.d_e, ubar, ubar[et.rev], umin[et.i],
-                                 umax[et.i], umin[et.j], umax[et.j])
+            fstar = mc_limit(f, ops.d_e, ubar, ubar[et.rev], umin[et.i],
+                             umax[et.i], umin[et.j], umax[et.j])
         wflux = two_d * ubar
         wflux += f if fstar is None else fstar
         return EdgeState(ei=et.i, ej=et.j, ubar=ubar, ftarget=f, fstar=fstar,
@@ -312,18 +304,15 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
         np.maximum(fict, Qp, out=Qp)
         np.minimum(fict, Qm, out=Qm)
 
-    if alpha_override is None:
-        # limit_balancing: R|P| of the owner row (|P| on Dirichlet rows),
-        # then the smaller magnitude of both orientations
-        rp = np.empty_like(P)
-        np.maximum(P[:nf], Qm[:nf], out=rp[:nf])
-        np.minimum(P[:nf], Qp[:nf], out=rp[:nf], where=sink)
-        rp[:nf] *= sgn[:nf]
-        np.abs(P[nf:], out=rp[nf:])
-        alphaP = np.minimum(rp, rp[et.rev])
-        alphaP *= sgn
-    else:
-        alphaP = float(alpha_override) * P
+    # limit_balancing: R|P| of the owner row (|P| on Dirichlet rows), then
+    # the smaller magnitude of both orientations
+    rp = np.empty_like(P)
+    np.maximum(P[:nf], Qm[:nf], out=rp[:nf])
+    np.minimum(P[:nf], Qp[:nf], out=rp[:nf], where=sink)
+    rp[:nf] *= sgn[:nf]
+    np.abs(P[nf:], out=rp[nf:])
+    alphaP = np.minimum(rp, rp[et.rev])
+    alphaP *= sgn
 
     ubar_s = ubar + alphaP
     ubar_s += ctx.bac_e
@@ -337,31 +326,28 @@ def edge_state(ctx, u, limiter="wmc", variant="full", alpha_override=None,
 
     # rows of Dirichlet nodes carry no fluxes in the final system
     fs_star = np.zeros_like(fs)
-    if limit_fluxes:
-        # wb_limit on the free rows.  d is symmetric, so the opposite-side
-        # bounds of edge ij are the negated own-side bounds of edge ji; on
-        # Dirichlet rows they are infinite, so edges into Dirichlet nodes
-        # keep only their owner-side constraint
-        hi = np.repeat(bar_max, ctx.degree)
-        hi -= ubar_s
-        hi *= two_d
-        hi[nf:] = np.inf
-        lo = np.repeat(bar_min, ctx.degree)
-        lo -= ubar_s
-        lo *= two_d
-        lo[nf:] = -np.inf
-        rev = et.rev[:nf]
-        cap = lo[rev]
-        np.negative(cap, out=cap)
-        np.minimum(hi[:nf], cap, out=cap)
-        floor = hi[rev]
-        np.negative(floor, out=floor)
-        np.maximum(lo[:nf], floor, out=floor)
-        # floor <= 0 <= cap, so clipping equals the sign-wise selection
-        np.maximum(fs[:nf], floor, out=fs_star[:nf])
-        np.minimum(fs_star[:nf], cap, out=fs_star[:nf])
-    else:
-        fs_star[:nf] = fs[:nf]
+    # wb_limit on the free rows.  d is symmetric, so the opposite-side
+    # bounds of edge ij are the negated own-side bounds of edge ji; on
+    # Dirichlet rows they are infinite, so edges into Dirichlet nodes
+    # keep only their owner-side constraint
+    hi = np.repeat(bar_max, ctx.degree)
+    hi -= ubar_s
+    hi *= two_d
+    hi[nf:] = np.inf
+    lo = np.repeat(bar_min, ctx.degree)
+    lo -= ubar_s
+    lo *= two_d
+    lo[nf:] = -np.inf
+    rev = et.rev[:nf]
+    cap = lo[rev]
+    np.negative(cap, out=cap)
+    np.minimum(hi[:nf], cap, out=cap)
+    floor = hi[rev]
+    np.negative(floor, out=floor)
+    np.maximum(lo[:nf], floor, out=floor)
+    # floor <= 0 <= cap, so clipping equals the sign-wise selection
+    np.maximum(fs[:nf], floor, out=fs_star[:nf])
+    np.minimum(fs_star[:nf], cap, out=fs_star[:nf])
 
     wflux = two_d * ubar_s
     wflux += fs_star

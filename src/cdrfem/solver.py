@@ -81,6 +81,12 @@ class SolveOptions:
             raise ValueError(f"unknown limiter {self.limiter!r}")
         if self.wb_variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.wb_variant!r}")
+        for name in ("tol", "damping"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool)):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{value!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         for name in ("max_iter", "tail_average"):
@@ -175,17 +181,15 @@ class _GaussSeidel:
     lumped reaction.  The free nodes are coloured greedily, so no two
     neighbours share a colour and each colour is updated at once; per colour
     ``groups`` holds its rows, its free-column edges' columns, their row
-    position within the colour and L_ij, and the rows' L_ii.  The colours run
-    forward, then backward without the last one, whose second update would
-    change nothing.
+    position within the colour and L_ij, and the rows' L_ii.  ``passes``
+    runs the colours forward, then backward without the last one, whose
+    second update would change nothing.
 
-    The forward colours read only columns already updated: ``forward``
-    holds, per colour, the columns, positions and L_ij of its edges into
-    lower colours.  The columns of higher colours still hold the zero start,
-    and their products, +0 or -0, change no bit of a sum that starts at +0.
-    Colour 0 reads no column and adds +0.0 in place of that sum, which turns
-    a residual of -0 into +0 as the sum did; that sign is the result when
-    there is only one colour."""
+    A forward pass reads only the columns already updated, those of lower
+    colours.  The columns of higher colours still hold the zero start, and
+    their products, +0 or -0, change no bit of a sum that starts at +0.
+    Colour 0 reads no column; its empty sum is +0 all the same, which turns
+    a residual of -0 into +0."""
 
     def __init__(self, ops):
         self.m = m = ops.num_free
@@ -201,7 +205,7 @@ class _GaussSeidel:
         # the colour of each free-column edge's row, -1 on Dirichlet columns
         edge_colour = np.where(j < m, self.colour[i], -1)
         position = np.empty(m, dtype=np.int32)
-        self.groups, self.forward = [], []
+        self.groups, self.passes = [], []
         for c in range(int(self.colour.max()) + 1):
             rows = np.flatnonzero(self.colour == c).astype(np.int32)
             position[rows] = np.arange(len(rows), dtype=np.int32)
@@ -211,20 +215,14 @@ class _GaussSeidel:
             self.groups.append(group)
             # the forward pass reads only the columns of lower colours
             lower = self.colour[group[1]] < c
-            self.forward.append(tuple(a[lower] for a in group[1:4]))
+            self.passes.append((rows, *(a[lower] for a in group[1:4]),
+                                group[4]))
+        self.passes += self.groups[-2::-1]
 
     def correction(self, r):
         """f = -P^-1 r: the sweep applied to L f = -r from f = 0."""
         f = np.zeros(self.m)
-        # colour 0 reads only zeros; their sum would be +0, hence the + 0.0
-        rows, diag = self.groups[0][0], self.groups[0][4]
-        f[rows] = -(r[rows] + 0.0) / diag
-        for (rows, *_, diag), (cols, pos, off) in zip(self.groups[1:],
-                                                      self.forward[1:]):
-            s = np.bincount(pos, off * f[cols], minlength=len(rows))
-            f[rows] = -(r[rows] + s) / diag
-        for c in range(len(self.groups) - 2, -1, -1):
-            rows, cols, pos, off, diag = self.groups[c]
+        for rows, cols, pos, off, diag in self.passes:
             s = np.bincount(pos, off * f[cols], minlength=len(rows))
             f[rows] = -(r[rows] + s) / diag
         return f

@@ -4,12 +4,15 @@ Reference implementations live in ``oracles``; this module only sets up
 cases.
 """
 
+import dataclasses
+
 import numpy as np
 
 from cdrfem import (ProblemSpec, assemble, build_level0, classify_and_order,
                     refine)
 from cdrfem.benchmarks import _constant, _uniform_flow
 from cdrfem.limiter import LimiterContext
+from oracles import wb_bar_state, wb_target_flux
 
 
 def refined(grid_id, level):
@@ -58,3 +61,22 @@ def constant_problem(epsilon, velocity, reaction, source, dirichlet=0.0):
                        velocity=_uniform_flow(*velocity),
                        reaction=_constant(reaction), source=_constant(source),
                        dirichlet=_constant(dirichlet))
+
+
+def unclipped(ctx, state, u, alphaP=None):
+    """``state`` with the flux clip undone: its ``wflux`` and ``rowsum``
+    rebuilt from the unclipped target flux, ``ftarget`` (mc, Galerkin) or
+    ``fs`` (wmc).  With ``alphaP`` given, the balanced flux is rebuilt at
+    that limited balancing flux instead."""
+    ops, et = ctx.ops, ctx.et
+    if alphaP is not None:
+        ui, uj = u[et.i], u[et.j]
+        ubar_s = wb_bar_state(state.ubar, alphaP, ops.b[et.i],
+                              ops.art_row[et.i])
+        w = ctx.two_d * ubar_s + wb_target_flux(ui, uj, ops.d_e, ops.reac_e,
+                                                alphaP)
+    elif state.fs is not None:
+        w = ctx.two_d * state.ubar_s + state.fs
+    else:
+        w = ctx.two_d * state.ubar + state.ftarget
+    return dataclasses.replace(state, wflux=w, rowsum=ctx.row_sums(w, u[et.j]))

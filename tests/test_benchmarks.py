@@ -137,6 +137,15 @@ def test_error_norms_constant_and_ramp():
     assert l2 == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-13)
 
 
+def test_error_norms_rejects_wrong_shape():
+    p = PROBLEMS["equilibrium"]()
+    mesh = classified(p, 1, 2)
+    n = mesh.num_vertices
+    for u in (np.zeros(n + 50), np.zeros(n - 1), np.zeros((n, 1))):
+        with pytest.raises(ValueError, match=f"expected {n} nodal values"):
+            error_norms(mesh, u, p.exact)
+
+
 def test_eoc_values():
     assert eoc(0.4, 0.1) == pytest.approx(2.0, abs=1e-14)
     assert eoc(1.2726041914149e-3, 2.9652705261797e-4) == pytest.approx(

@@ -77,6 +77,15 @@ def test_write_vtk_matches_scalar_writer(tmp_path, monkeypatch, grid_id,
         (tmp_path / "old.vtk").read_bytes()
 
 
+def test_write_vtk_rejects_wrong_shape(tmp_path):
+    mesh = classified(PROBLEMS["equilibrium"](), 1, 2)
+    n = mesh.num_vertices
+    for u in (np.zeros(n + 50), np.zeros(n - 1), np.zeros((n, 1))):
+        with pytest.raises(ValueError, match=f"expected {n} nodal values"):
+            write_vtk(mesh, u, tmp_path / "u.vtk")
+    assert not (tmp_path / "u.vtk").exists()
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["solve", "--problem", "no-such-problem"]) == 1
     assert run(["solve", "--problem", "equilibrium", "--no-such-flag"]) == 1

@@ -7,7 +7,7 @@ from cdrfem import PROBLEMS, galerkin_residual
 from cdrfem.limiter import edge_state, mc_limit
 from cdrfem.solver import residual
 from cases import (classified, constant_problem, limiter_case, random_iterate,
-                   row_scale)
+                   row_scale, unclipped)
 from oracles import (_r_abs_p, balancing_flux, bar_state, fictitious_value,
                      limit_balancing, limiting_factor, mc_target_flux,
                      mirror_cell, net_source, wb_bar_state, wb_limit,
@@ -194,7 +194,7 @@ def test_flux_form_matches_galerkin(name):
     for _ in range(5):
         u = random_iterate(mesh, prob, rng)
         gal = galerkin_residual(ops, u)
-        st = edge_state(ctx, u, limiter="mc", limit_fluxes=False)
+        st = unclipped(ctx, edge_state(ctx, u, limiter="mc"), u)
         diff = residual(ops, st, u) - gal
         assert np.all(np.abs(diff) <= 1e-12 * row_scale(ops, st, u))
 
@@ -208,9 +208,9 @@ def test_wb_flux_form_matches_galerkin(name):
         u = random_iterate(mesh, prob, rng)
         gal = galerkin_residual(ops, u)
         # the balancing fluxes cancel in the row sums for any alpha
-        for kwargs in ({"alpha_override": 1.0}, {}):
-            st = edge_state(ctx, u, limiter="wmc", limit_fluxes=False,
-                            **kwargs)
+        wmc = edge_state(ctx, u, limiter="wmc")
+        for st in (unclipped(ctx, wmc, u, alphaP=wmc.P),
+                   unclipped(ctx, wmc, u)):
             diff = residual(ops, st, u) - gal
             assert np.all(np.abs(diff) <= 1e-12 * row_scale(ops, st, u))
 

@@ -315,6 +315,8 @@ INVALID_OPTIONS = [
     {"max_iter": 2.5}, {"max_iter": 10.0}, {"max_iter": True},
     {"tail_average": 1.5}, {"tail_average": True}, {"tail_average": "2"},
     {"check_bounds": "no"}, {"check_bounds": 1},
+    {"tol": True}, {"tol": None}, {"tol": "1e-8"}, {"tol": np.True_},
+    {"damping": True}, {"damping": None}, {"damping": "0.5"},
 ]
 
 
@@ -334,15 +336,17 @@ def test_invalid_options_rejected(kwargs):
 
 
 def test_numpy_counts_accepted():
-    # NumPy integers and bools are valid counts and flags, and give the
-    # run that the Python values give
+    # NumPy integers, floats and bools are valid counts, numbers and flags,
+    # and give the run that the Python values give
     prob = PROBLEMS["equilibrium"]()
     mesh = classified(prob, 1, 2)
     plain = solve(mesh, prob, SolveOptions(max_iter=3, tail_average=2,
-                                           check_bounds=True))
+                                           check_bounds=True, damping=0.5))
     counted = solve(mesh, prob, SolveOptions(max_iter=np.int64(3),
                                              tail_average=np.int32(2),
-                                             check_bounds=np.True_))
+                                             check_bounds=np.True_,
+                                             damping=np.float32(0.5),
+                                             tol=np.float64(1e-8)))
     assert counted.iterations == plain.iterations == 3
     assert counted.u.tobytes() == plain.u.tobytes()
     assert counted.bound_check == plain.bound_check

@@ -20,7 +20,14 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   problem in ``PROBLEMS`` (both velocity components, reaction, source,
   Dirichlet data and, where set, the exact solution) at the vertices and
   at the cell-edge midpoints of both grids at level 3, and at one scalar
-  point.
+  point;
+* ``edge states``: the bytes of every array field of ``EdgeState``, and of
+  ``alpha`` and ``ubar_s_star``, of one ``edge_state`` call per limiter
+  (galerkin, mc, wmc full and simplified) at two seeded random iterates of
+  every problem on both grids at level 3;
+* ``Gauss-Seidel corrections``: the bytes of ``_GaussSeidel.correction(r)``
+  for a residual with +0 and -0 entries, its negation, +0 and -0, on the
+  meshes of ``test_correction_bits_match_untrimmed_sweep``.
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
 case differs.  The set takes about 10 s on a 2-vCPU machine.
@@ -28,6 +35,7 @@ case differs.  The set takes about 10 s on a 2-vCPU machine.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -58,6 +66,11 @@ SOLVES = {
     "boundary-layers g1 L4 check_bounds":
         ("boundary-layers", 1, 4, {"check_bounds": True}),
 }
+
+# (problem, grid, level) of the ``Gauss-Seidel corrections`` case
+GS_MESHES = [("circular-layers", 1, 4), ("circular-layers", 2, 4),
+             ("equilibrium", 1, 4), ("equilibrium", 2, 4),
+             ("interior-layers", 1, 1)]
 
 # name -> CLI arguments without --outdir
 CLI_RUNS = {
@@ -94,6 +107,41 @@ def _field_points():
     return points
 
 
+def _classified(problem, grid, level):
+    from cdrfem import build_level0, classify_and_order, refine
+
+    mesh = build_level0(grid)
+    for _ in range(level):
+        mesh = refine(mesh)
+    return classify_and_order(mesh, problem)
+
+
+def _edge_state_bytes(problem, grid):
+    """The bytes of the ``edge states`` case for one problem and grid."""
+    from cdrfem import assemble
+    from cdrfem.limiter import LimiterContext, edge_state
+
+    mesh = _classified(problem, grid, 3)
+    ctx = LimiterContext(assemble(mesh, problem), problem)
+    rng = np.random.default_rng(grid)
+    xd = mesh.vertices[mesh.num_free:]
+    chunks = []
+    for k in range(2):
+        u = rng.standard_normal(mesh.num_vertices)
+        u[mesh.num_free:] = problem.dirichlet(xd[:, 0], xd[:, 1])
+        for limiter, variant in (("galerkin", "full"), ("mc", "full"),
+                                 ("wmc", "full"), ("wmc", "simplified")):
+            state = edge_state(ctx, u, limiter, variant)
+            names = [f.name for f in dataclasses.fields(state)]
+            for name in names + ["alpha", "ubar_s_star"]:
+                value = getattr(state, name)
+                if isinstance(value, np.ndarray):
+                    chunks.append(f"{k} {limiter} {variant} {name} "
+                                  f"{value.dtype} {value.shape}\n".encode()
+                                  + value.tobytes())
+    return b"".join(chunks)
+
+
 def _case_dir(out, name):
     path = Path(out, name)
     path.mkdir(parents=True)
@@ -104,15 +152,12 @@ def collect(tree, out):
     """Run the identity set with the cdrfem on ``sys.path``; one directory
     of result files per case under ``out``."""
     import cdrfem.cli
-    from cdrfem import (PROBLEMS, SolveOptions, build_level0,
-                        classify_and_order, refine, solve)
+    from cdrfem import PROBLEMS, SolveOptions, assemble, solve
+    from cdrfem.solver import _GaussSeidel
 
     for name, (pname, grid, level, kwargs) in SOLVES.items():
         problem = PROBLEMS[pname]()
-        mesh = build_level0(grid)
-        for _ in range(level):
-            mesh = refine(mesh)
-        mesh = classify_and_order(mesh, problem)
+        mesh = _classified(problem, grid, level)
         if kwargs.get("initial_guess") == "exact":
             x = mesh.vertices
             kwargs = dict(kwargs,
@@ -156,6 +201,26 @@ def collect(tree, out):
                     chunks.append(f"{label} {fname} {v.dtype} {v.shape}\n"
                                   .encode() + v.tobytes())
         (path / f"{pname}.bin").write_bytes(b"".join(chunks))
+
+    path = _case_dir(out, "edge states")
+    for pname, factory in PROBLEMS.items():
+        for grid in (1, 2):
+            (path / f"{pname} g{grid}.bin").write_bytes(
+                _edge_state_bytes(factory(), grid))
+
+    path = _case_dir(out, "Gauss-Seidel corrections")
+    for pname, grid, level in GS_MESHES:
+        problem = PROBLEMS[pname]()
+        mesh = _classified(problem, grid, level)
+        gs = _GaussSeidel(assemble(mesh, problem))
+        rng = np.random.default_rng(11)
+        r = rng.standard_normal(mesh.num_free)
+        pick = rng.random(r.size)
+        r[pick < 0.1] = 0.0
+        r[pick > 0.9] = -0.0
+        rhs = (r, -r, np.zeros_like(r), np.full_like(r, -0.0))
+        (path / f"{pname} g{grid} L{level}.bin").write_bytes(
+            b"".join(gs.correction(x).tobytes() for x in rhs))
 
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src")))
     for script in sorted(Path(tree, "demos").glob("*.py")):
