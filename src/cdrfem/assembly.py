@@ -11,6 +11,8 @@ neighbor pair.
 
 import numpy as np
 
+from .mesh import _corners
+
 # floor factor for the artificial diffusion, scaled by the mesh size
 DELTA = 1e-10
 
@@ -18,6 +20,8 @@ DELTA = 1e-10
 _PHI = np.array([[0.5, 0.0, 0.5],
                  [0.5, 0.5, 0.0],
                  [0.0, 0.5, 0.5]])
+# per hat a, the first and the second midpoint q at which it is 1/2
+_Q1, _Q2 = np.nonzero(_PHI)[1].reshape(3, 2).T
 
 
 class Operators:
@@ -57,38 +61,54 @@ def _local_blocks(mesh, problem):
     """Cell matrices (c, 3, 3) of the diffusion, convection and reaction
     blocks and the cell source vectors (c, 3).
 
-    The reaction and diffusion sums run in the order, and so give the bits,
-    of ``np.einsum("aq,bq,cq->cab", ...)`` and ``np.einsum("cad,cbd->cab",
-    ...)``, without their cost.
+    Each is built entry-major, one contiguous row of c values per entry,
+    and returned as a (c, ...) view of those rows.  The fields are sampled
+    at the (3, c) quadrature points.  Every entry is summed in the order,
+    and so has the bits, of the einsums of
+    ``tests/oracles.py::einsum_local_blocks``: the convection and source
+    entries from +0 in q order over the two midpoints where the hat is 1/2
+    (for finite fields, the product with its zero at the third is a signed
+    zero, which leaves a sum started at +0 unchanged), the reaction entries
+    over all three q.
     """
     area = mesh.cell_areas
-    grads = mesh.cell_grads
-    p = mesh.vertices[mesh.cells]
+    grads = np.ascontiguousarray(mesh.cell_grads.transpose(1, 2, 0))
+    x, y = _corners(mesh)
 
-    # quadrature nodes: the three edge midpoints of every cell
-    qpts = 0.5 * (p + np.roll(p, -1, axis=1))         # (c, 3, 2)
-    qx, qy = qpts[:, :, 0], qpts[:, :, 1]
+    # quadrature nodes: the three edge midpoints m01, m12, m20 of every cell
+    qx = 0.5 * (x + np.roll(x, -1, axis=0))           # (3, c)
+    qy = 0.5 * (y + np.roll(y, -1, axis=0))
     vx, vy = problem.velocity(qx, qy)
     cq = problem.reaction(qx, qy)
     fq = problem.source(qx, qy)
     if np.any(cq < 0.0):
         raise ValueError("reaction coefficient must be nonnegative")
 
-    w = area[:, None] / 3.0
-    vdotg = (np.asarray(vx)[:, :, None] * grads[:, None, :, 0]
-             + np.asarray(vy)[:, :, None] * grads[:, None, :, 1])
-    local_conv = np.einsum("aq,cqb,cq->cab", _PHI, vdotg, np.broadcast_to(w, qx.shape))
+    w = area / 3.0
+    local_conv = np.empty((3, 3, len(area)))
+    for b, (gx, gy) in enumerate(grads):
+        # the velocity at each midpoint q dotted with the gradient of hat b
+        t = [(0.5 * (vx[q] * gx + vy[q] * gy)) * w for q in range(3)]
+        for a, (q1, q2) in enumerate(zip(_Q1, _Q2)):
+            np.add(t[q1] + 0.0, t[q2], out=local_conv[a, b])
+    fw = 0.5 * (fq * w)
+    local_b = fw[_Q1] + 0.0
+    local_b += fw[_Q2]
+
+    # the diffusion and reaction blocks are symmetric
     cw = cq * w
+    ea = problem.epsilon * area
     local_reac = np.empty_like(local_conv)
-    for a, b in np.ndindex(3, 3):
+    local_diff = np.empty_like(local_conv)
+    for a, b in zip(*np.triu_indices(3)):
         m = _PHI[a] * _PHI[b]
-        local_reac[:, a, b] = (m[0] * cw[:, 0] + m[1] * cw[:, 1]
-                               + m[2] * cw[:, 2])
-    local_diff = grads[:, :, None, 0] * grads[:, None, :, 0]
-    local_diff += grads[:, :, None, 1] * grads[:, None, :, 1]
-    local_diff *= problem.epsilon * area[:, None, None]
-    local_b = np.einsum("aq,cq->ca", _PHI, fq * w)
-    return local_diff, local_conv, local_reac, local_b
+        local_reac[a, b] = m[0] * cw[0] + m[1] * cw[1] + m[2] * cw[2]
+        local_diff[a, b] = (grads[a, 0] * grads[b, 0]
+                            + grads[a, 1] * grads[b, 1]) * ea
+        local_reac[b, a] = local_reac[a, b]
+        local_diff[b, a] = local_diff[a, b]
+    return tuple(np.moveaxis(v, -1, 0)
+                 for v in (local_diff, local_conv, local_reac, local_b))
 
 
 def assemble(mesh, problem):
@@ -103,7 +123,7 @@ def assemble(mesh, problem):
 
     def scatter(local):
         # the six off-diagonal local pairs (a, b) in et.cell_edges order
-        off = local.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]]
+        off = local[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]]
         return np.bincount(et.cell_edges.ravel(), off.ravel(),
                            minlength=len(et.i))
 

@@ -224,13 +224,21 @@ class LimiterContext:
     @cached_property
     def grad_incr(self):
         """Mirror-cell vertex ids and weights of every edge, two (3, E)
-        arrays, such that u^i_j - u_i = sum_k weight[k] * u[vertex[k]]."""
+        arrays, such that u^i_j - u_i = sum_k weight[k] * u[vertex[k]].
+
+        weight[k] is the hat gradient of corner k dotted with x_i - x_j,
+        summed from +0 in coordinate order."""
         mesh = self.mesh
         kcell = mesh.mirror_cells
-        vertex = np.ascontiguousarray(mesh.cells[kcell].T)
-        dx = mesh.vertices[self.et.i] - mesh.vertices[self.et.j]
-        weight = np.ascontiguousarray(
-            np.einsum("ekd,ed->ke", mesh.cell_grads[kcell], dx))
+        vertex = np.take(np.ascontiguousarray(mesh.cells.T), kcell, axis=1)
+        # row k of grads[d] holds component d of the gradient of hat k
+        grads = np.ascontiguousarray(mesh.cell_grads.transpose(2, 1, 0))
+        weight = np.zeros((3, len(kcell)))
+        for g, x in zip(grads, mesh.vertices.T):
+            x = np.ascontiguousarray(x)
+            dx = x[self.et.i] - x[self.et.j]
+            for k in range(3):
+                weight[k] += g[k][kcell] * dx
         return vertex, weight
 
     def fictitious_increment(self, u):

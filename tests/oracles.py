@@ -20,6 +20,51 @@ def node_cells(mesh):
     return np.concatenate([[0], np.cumsum(counts)]), order // 3
 
 
+def stack_sort_edge_keys(mesh):
+    """``mesh._edge_keys`` from the endpoint pairs of the cell edges 01, 12,
+    20, stacked and sorted along the pair axis."""
+    n = mesh.num_vertices
+    c = mesh.cells
+    pairs = np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=1)
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1)
+    return np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+
+
+def roll_h(mesh):
+    """``Mesh.h`` as the largest length of the edge vectors p - roll(p)."""
+    edge = (mesh.vertices[mesh.cells]
+            - mesh.vertices[np.roll(mesh.cells, -1, axis=1)])
+    return float(np.sqrt((edge ** 2).sum(axis=2)).max())
+
+
+def gathered_cell_geometry(mesh):
+    """``Mesh.cell_areas`` and ``Mesh.cell_grads`` from the (c, 3, 2)
+    gather of the cell corners."""
+    p = mesh.vertices[mesh.cells]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    g = np.empty((mesh.num_cells, 3, 2))
+    for k in range(3):
+        # grad of hat at vertex k is the rotated opposite edge / (2 area)
+        opp = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        g[:, k, 0] = -opp[:, 1]
+        g[:, k, 1] = opp[:, 0]
+    return area, g / (2.0 * area)[:, None, None]
+
+
+def einsum_grad_incr(ctx):
+    """``LimiterContext.grad_incr`` as one einsum over the (E, 3, 2) gather
+    of the mirror cells' hat gradients."""
+    mesh = ctx.mesh
+    kcell = mesh.mirror_cells
+    vertex = np.ascontiguousarray(mesh.cells[kcell].T)
+    dx = mesh.vertices[ctx.et.i] - mesh.vertices[ctx.et.j]
+    weight = np.ascontiguousarray(
+        np.einsum("ekd,ed->ke", mesh.cell_grads[kcell], dx))
+    return vertex, weight
+
+
 def lexsort_mirror_cells(mesh):
     """``Mesh.mirror_cells`` by a lexsort over all (edge, incident cell) rows.
 

@@ -8,10 +8,10 @@ from cdrfem.limiter import edge_state, mc_limit
 from cdrfem.solver import residual
 from cases import (classified, constant_problem, limiter_case, random_iterate,
                    row_scale, unclipped)
-from oracles import (_r_abs_p, balancing_flux, bar_state, fictitious_value,
-                     limit_balancing, limiting_factor, mc_target_flux,
-                     mirror_cell, net_source, wb_bar_state, wb_limit,
-                     wb_target_flux)
+from oracles import (_r_abs_p, balancing_flux, bar_state, einsum_grad_incr,
+                     fictitious_value, limit_balancing, limiting_factor,
+                     mc_target_flux, mirror_cell, net_source, wb_bar_state,
+                     wb_limit, wb_target_flux)
 
 
 def all_benchmarks():
@@ -414,6 +414,19 @@ def test_grad_incr_oracle(name, grid_id):
                      for i, j in zip(et.i.tolist(), et.j.tolist())])
     got = ctx.fictitious_increment(u)
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(u).max())
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_grad_incr_matches_einsum_oracle(name, grid_id):
+    # the per-corner sums from +0 give the einsum's bits, zero signs included
+    prob = PROBLEMS[name]()
+    for level in range(1, 6):
+        _, _, ctx = limiter_case(prob, grid_id, level)
+        for got, want in zip(ctx.grad_incr, einsum_grad_incr(ctx)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                level
 
 
 @pytest.mark.parametrize("grid_id", [1, 2])

@@ -6,8 +6,16 @@ from cdrfem import (BOTTOM, LEFT, RIGHT, TOP, Mesh, build_level0,
 from cdrfem.benchmarks import (PROBLEMS, problem_circular_convection,
                                problem_circular_layers,
                                problem_interior_layers)
+from cdrfem.mesh import _edge_keys
 from cases import refined
-from oracles import lexsort_mirror_cells, mirror_cell, node_cells
+from oracles import (gathered_cell_geometry, lexsort_mirror_cells,
+                     mirror_cell, node_cells, roll_h, stack_sort_edge_keys)
+
+
+def bits(a):
+    """The 64-bit patterns of a float or int64 array (or a float), so that
+    +0 and -0 differ."""
+    return np.asarray(a).view(np.int64)
 
 
 def jittered(grid_id, level):
@@ -23,6 +31,17 @@ def jittered(grid_id, level):
                     * mesh.h / np.sqrt(2))
     return Mesh(x, mesh.cells, mesh.boundary_edges, mesh.boundary_tags,
                 level=level)
+
+
+def irrational(grid_id, level):
+    """``refined`` under an affine map with irrational coefficients and a
+    positive determinant, on which refinement need not halve h exactly."""
+    mesh = refined(grid_id, level)
+    a = np.array([[np.pi / 3.0, np.sqrt(2.0) / 7.0],
+                  [np.e / 9.0, np.sqrt(3.0) / 2.0]])
+    shift = np.array([np.sqrt(5.0), 1.0 / np.pi])
+    return Mesh(mesh.vertices @ a.T + shift, mesh.cells, mesh.boundary_edges,
+                mesh.boundary_tags, level=level)
 
 
 def undirected_edges(mesh):
@@ -100,12 +119,71 @@ def test_refine_twice_grid2():
 
 
 def test_refine_halves_h():
+    # midpoints of dyadic coordinates are exact, so h halves exactly
     for gid in (1, 2):
         mesh = build_level0(gid)
-        for _ in range(3):
+        for _ in range(5):
             child = refine(mesh)
-            assert child.h == pytest.approx(0.5 * mesh.h, abs=1e-15)
+            assert child.h == 0.5 * mesh.h
             mesh = child
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_geometry_matches_gathered_oracles(grid_id):
+    # the per-coordinate columns give the bits of the (c, 3, 2) gathers,
+    # and the min/max edge keys those of stack and sort
+    for level in range(6):
+        mesh = refined(grid_id, level)
+        for m in [mesh] + [classify_and_order(mesh, PROBLEMS[name]())
+                           for name in sorted(PROBLEMS)]:
+            area, grads = gathered_cell_geometry(m)
+            assert np.array_equal(bits(m.h), bits(roll_h(m))), level
+            assert np.array_equal(bits(m.cell_areas), bits(area)), level
+            assert np.array_equal(bits(m.cell_grads), bits(grads)), level
+            for got, want in zip(_edge_keys(m), stack_sort_edge_keys(m)):
+                assert np.array_equal(bits(got), bits(want)), level
+
+
+def test_h_matches_roll_oracle_on_irrational_meshes():
+    inexact = 0
+    for gid in (1, 2):
+        mesh = irrational(gid, 1)
+        for _ in range(4):
+            child = refine(mesh)
+            inexact += child.h != 0.5 * mesh.h
+            assert np.array_equal(bits(mesh.h), bits(roll_h(mesh)))
+            mesh = child
+    assert inexact
+
+
+def test_classify_keeps_geometry_bits():
+    for gid in (1, 2):
+        for mesh in (refined(gid, 4), jittered(gid, 3), irrational(gid, 3)):
+            for name in sorted(PROBLEMS):
+                ordered = classify_and_order(mesh, PROBLEMS[name]())
+                assert np.array_equal(bits(ordered.h), bits(mesh.h))
+                assert np.array_equal(bits(ordered.cell_areas),
+                                      bits(mesh.cell_areas))
+                assert np.array_equal(bits(ordered.cell_grads),
+                                      bits(mesh.cell_grads))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertices(bad):
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, bad)]
+    with pytest.raises(ValueError, match="finite"):
+        Mesh(vertices, [(0, 1, 2), (0, 2, 3)],
+             [(0, 1), (1, 2), (2, 3), (3, 0)], [BOTTOM, RIGHT, TOP, LEFT])
+
+
+@pytest.mark.parametrize("cells", [[(0, 1, 2), (0, 2, -1)],
+                                   [(0, 1, 2), (0, 2, 4)]])
+def test_mesh_rejects_cell_index_out_of_range(cells):
+    # -1 would wrap to vertex 3 and build a valid-looking square
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        Mesh(vertices, cells, [(0, 1), (1, 2), (2, 3), (3, 0)],
+             [BOTTOM, RIGHT, TOP, LEFT])
 
 
 def test_refine_euler_and_counts():

@@ -27,7 +27,11 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   every problem on both grids at level 3;
 * ``Gauss-Seidel corrections``: the bytes of ``_GaussSeidel.correction(r)``
   for a residual with +0 and -0 entries, its negation, +0 and -0, on the
-  meshes of ``test_correction_bits_match_untrimmed_sweep``.
+  meshes of ``test_correction_bits_match_untrimmed_sweep``;
+* ``set-up arrays``: the bytes, dtype and shape of ``h``, ``cell_areas``,
+  ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
+  classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
+  array of its ``Operators``, for every problem on both grids at level 5.
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
 case differs.  The set takes about 10 s on a 2-vCPU machine.
@@ -142,6 +146,26 @@ def _edge_state_bytes(problem, grid):
     return b"".join(chunks)
 
 
+def _setup_array_bytes(problem, grid):
+    """The bytes of the ``set-up arrays`` case for one problem and grid."""
+    from cdrfem import assemble
+    from cdrfem.limiter import LimiterContext
+
+    mesh = _classified(problem, grid, 5)
+    ops = assemble(mesh, problem)
+    vertex, weight = LimiterContext(ops, problem).grad_incr
+    arrays = {"h": np.float64(mesh.h), "cell_areas": mesh.cell_areas,
+              "cell_grads": mesh.cell_grads}
+    arrays.update((f"edges.{name}", value)
+                  for name, value in mesh.edges._asdict().items())
+    arrays.update({"mirror_cells": mesh.mirror_cells,
+                   "grad_incr vertex": vertex, "grad_incr weight": weight})
+    arrays.update((f"ops.{name}", value) for name, value in vars(ops).items()
+                  if isinstance(value, np.ndarray))
+    return b"".join(f"{name} {value.dtype} {value.shape}\n".encode()
+                    + value.tobytes() for name, value in arrays.items())
+
+
 def _case_dir(out, name):
     path = Path(out, name)
     path.mkdir(parents=True)
@@ -207,6 +231,12 @@ def collect(tree, out):
         for grid in (1, 2):
             (path / f"{pname} g{grid}.bin").write_bytes(
                 _edge_state_bytes(factory(), grid))
+
+    path = _case_dir(out, "set-up arrays")
+    for pname, factory in PROBLEMS.items():
+        for grid in (1, 2):
+            (path / f"{pname} g{grid}.bin").write_bytes(
+                _setup_array_bytes(factory(), grid))
 
     path = _case_dir(out, "Gauss-Seidel corrections")
     for pname, grid, level in GS_MESHES:
