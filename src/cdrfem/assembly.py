@@ -3,10 +3,10 @@
 The diffusion block uses exact integration; convection, reaction and the
 source functional use the three-edge-midpoint rule, which is exact for
 quadratic integrands.  The off-diagonal cell contributions are summed
-straight onto the directed edges through ``mesh.edges.cell_edges``, in
-(cell, a, b) order; the solver reads them per edge, plus a few per-node
-vectors.  The artificial diffusion d_ij has a positive floor on every
-neighbor pair.
+straight onto the directed edges through ``mesh.edges.cell_edges``; each
+directed edge takes at most two, so their order does not matter.  The
+solver reads them per edge, plus a few per-node vectors.  The artificial
+diffusion d_ij has a positive floor on every neighbor pair.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ _PHI = np.array([[0.5, 0.0, 0.5],
                  [0.0, 0.5, 0.5]])
 # per hat a, the first and the second midpoint q at which it is 1/2
 _Q1, _Q2 = np.nonzero(_PHI)[1].reshape(3, 2).T
+# the local pairs (a, b), a != b, in the column order of cell_edges
+_OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 class Operators:
@@ -120,12 +122,14 @@ def assemble(mesh, problem):
     local_diff, local_conv, local_reac, local_b = _local_blocks(mesh, problem)
 
     et = mesh.edges
+    pair_edges = np.ascontiguousarray(et.cell_edges.T, dtype=np.intp).ravel()
 
     def scatter(local):
-        # the six off-diagonal local pairs (a, b) in et.cell_edges order
-        off = local[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]]
-        return np.bincount(et.cell_edges.ravel(), off.ravel(),
-                           minlength=len(et.i))
+        # each off-diagonal entry is a contiguous row of the entry-major
+        # blocks; a two-term sum from +0 does not depend on the order of its
+        # terms
+        off = np.concatenate([local[:, a, b] for a, b in _OFF_DIAGONAL])
+        return np.bincount(pair_edges, off, minlength=len(et.i))
 
     def diagonal(local):
         diag = np.diagonal(local, axis1=1, axis2=2)

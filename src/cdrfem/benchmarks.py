@@ -6,14 +6,15 @@ constant, so the edge-midpoint quadrature in the assembly is exact away from
 coefficient jumps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import Operators
-from .mesh import BOTTOM, Mesh
-from .solver import SolveReport
+from .assembly import Operators, assemble
+from .mesh import (BOTTOM, Mesh, _corners, _row_blocks, build_level0,
+                   classify_and_order, prolong, refine)
+from .solver import SolveOptions, SolveReport, solve
 
 
 @dataclass
@@ -224,18 +225,25 @@ def error_norms(mesh, u, exact):
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_vertices,):
         raise ValueError(f"expected {mesh.num_vertices} nodal values")
-    p = mesh.vertices[mesh.cells]                      # (c, 3, 2)
-    uc = u[mesh.cells]                                 # (c, 3)
-    # quadrature points (c, q, 2), summed over k in the order, and so with
-    # the bits, of np.einsum("qk,ckd->cqd", _QUAD_BARY, p)
-    qx = _QUAD_BARY[:, 0, None] * p[:, None, 0]
-    qx += _QUAD_BARY[:, 1, None] * p[:, None, 1]
-    qx += _QUAD_BARY[:, 2, None] * p[:, None, 2]
-    uh = np.einsum("qk,ck->cq", _QUAD_BARY, uc)
-    diff = np.abs(uh - exact(qx[:, :, 0], qx[:, :, 1]))
+    x, y = _corners(mesh)
+    # per cell, the quadrature sums of |u_h - u| and of its square
+    e1, e2 = np.empty((2, mesh.num_cells))
+    for blk in _row_blocks(mesh.num_cells):
+        # quadrature points (cells, q), summed over the corners k in the
+        # order, and so with the bits, of np.einsum("qk,ckd->cqd",
+        # _QUAD_BARY, p) over the (c, 3, 2) corner coordinates p
+        qx = _QUAD_BARY[:, 0] * x[0, blk, None]
+        qy = _QUAD_BARY[:, 0] * y[0, blk, None]
+        for k in (1, 2):
+            qx += _QUAD_BARY[:, k] * x[k, blk, None]
+            qy += _QUAD_BARY[:, k] * y[k, blk, None]
+        uh = np.einsum("qk,ck->cq", _QUAD_BARY, u[mesh.cells[blk]])
+        diff = np.abs(uh - exact(qx, qy))
+        e1[blk] = diff @ _QUAD_W
+        e2[blk] = (diff ** 2) @ _QUAD_W
     area = mesh.cell_areas
-    l1 = float(np.sum(area * (diff @ _QUAD_W)))
-    l2 = float(np.sqrt(np.sum(area * ((diff ** 2) @ _QUAD_W))))
+    l1 = float(np.sum(area * e1))
+    l2 = float(np.sqrt(np.sum(area * e2)))
     return l1, l2
 
 
@@ -287,13 +295,6 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     list of ErrorRecord, one per level; orders are left empty on the first
     level and whenever the problem has no exact solution.
     """
-    # imported per call so that tests can patch solver.solve, mesh.build_level0
-    from dataclasses import replace
-
-    from .assembly import assemble
-    from .mesh import build_level0, classify_and_order, prolong, refine
-    from .solver import SolveOptions, solve
-
     if options is None:
         options = SolveOptions()
     levels = list(levels)

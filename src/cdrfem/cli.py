@@ -15,6 +15,7 @@ import numpy as np
 
 from .benchmarks import PROBLEMS, convergence_study
 from .limiter import LIMITERS, VARIANTS
+from .mesh import _row_blocks
 from .solver import SolveOptions, audit_dmp
 
 CSV_HEADER = "level,ndof,h,l2_error,eoc_l2,l1_error,eoc_l1,iterations,converged"
@@ -34,35 +35,68 @@ def write_csv(records, path):
                       f"{r.iterations},{r.converged}\n")
 
 
-# rows that write_vtk formats with one ``%`` operation
-_VTK_CHUNK_ROWS = 1 << 15
+def _float_table(values):
+    """(table, index): the ``%.17g`` texts of the distinct bit patterns of
+    the float array ``values`` as a zero-padded ``S`` array, and the row of
+    every value in it, in the shape of ``values``.  Comparing bits keeps
+    -0.0 apart from +0.0, and NaNs of different payloads apart."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    text = ("%.17g\n" * len(floats) % tuple(floats)).encode()
+    return np.array(text.split(), dtype="S"), index.reshape(values.shape)
 
 
-def _write_rows(out, fmt, rows):
-    """Write ``fmt % tuple(row)`` for every row of ``rows``, a chunk of
-    rows at a time; ``%.17g`` on a Python float reads as ``f"{x:.17g}"``."""
-    for s in range(0, len(rows), _VTK_CHUNK_ROWS):
-        chunk = rows[s:s + _VTK_CHUNK_ROWS]
-        out.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+def _index_table(n):
+    """The decimal texts of 0 .. n-1 as a zero-padded ``S`` array."""
+    width = len(str(max(n - 1, 0)))
+    v = np.arange(n)[:, None]
+    power = 10 ** np.arange(width - 1, -1, -1)
+    digits = (v // power % 10 + ord("0")).astype(np.uint8)
+    lead = v < power
+    lead[:, -1] = False
+    digits[lead] = 0
+    return digits.view(f"S{width}").ravel()
+
+
+def _write_table_rows(out, pieces, num_rows):
+    """Write ``num_rows`` text rows to the binary file ``out``, a block of
+    rows at a time.  Row r joins ``pieces`` in order: a bytes literal as it
+    is, a pair (table, index) as the text ``table[index[r]]``; the zero
+    padding of the ``S`` tables is dropped."""
+    for blk in _row_blocks(num_rows):
+        size = len(range(num_rows)[blk])
+        rows = np.concatenate(
+            [np.broadcast_to(np.frombuffer(p, np.uint8), (size, len(p)))
+             if isinstance(p, bytes) else
+             p[0][p[1][blk]].view(np.uint8).reshape(size, -1)
+             for p in pieces], axis=1)
+        out.write(rows[rows != 0])
 
 
 def write_vtk(mesh, u, path):
     """Legacy ASCII VTK unstructured grid with one point scalar field."""
-    u = np.asarray(u)
+    u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_vertices,):
         raise ValueError(f"expected {mesh.num_vertices} nodal values")
-    with open(path, "w") as out:
-        out.write("# vtk DataFile Version 2.0\ncdrfem solution\n")
-        out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        out.write(f"POINTS {mesh.num_vertices} double\n")
-        _write_rows(out, "%.17g %.17g 0\n", mesh.vertices)
-        out.write(f"CELLS {mesh.num_cells} {4 * mesh.num_cells}\n")
-        _write_rows(out, "3 %d %d %d\n", mesh.cells)
-        out.write(f"CELL_TYPES {mesh.num_cells}\n")
-        out.write("5\n" * mesh.num_cells)
-        out.write(f"POINT_DATA {mesh.num_vertices}\n")
-        out.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        _write_rows(out, "%.17g\n", u)
+    n, c = mesh.num_vertices, mesh.num_cells
+    with open(path, "wb") as out:
+        out.write(b"# vtk DataFile Version 2.0\ncdrfem solution\n"
+                  b"ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        out.write(f"POINTS {n} double\n".encode())
+        table, index = _float_table(mesh.vertices)
+        _write_table_rows(out, [(table, index[:, 0]), b" ",
+                                (table, index[:, 1]), b" 0\n"], n)
+        out.write(f"CELLS {c} {4 * c}\n".encode())
+        table, cells = _index_table(n), mesh.cells
+        _write_table_rows(out, [b"3 ", (table, cells[:, 0]), b" ",
+                                (table, cells[:, 1]), b" ",
+                                (table, cells[:, 2]), b"\n"], c)
+        out.write(f"CELL_TYPES {c}\n".encode())
+        out.write(b"5\n" * c)
+        out.write(f"POINT_DATA {n}\n".encode())
+        out.write(b"SCALARS u double 1\nLOOKUP_TABLE default\n")
+        table, index = _float_table(u)
+        _write_table_rows(out, [(table, index), b"\n"], n)
 
 
 def write_audit(checks, path):

@@ -177,8 +177,8 @@ class LimiterContext:
     @cached_property
     def geom_e(self):
         """Velocity projection factor of the balancing flux, per edge."""
-        x = self.mesh.vertices
-        vx, vy = self.problem.velocity(x[:, 0], x[:, 1])
+        xs, ys = (np.ascontiguousarray(v) for v in self.mesh.vertices.T)
+        vx, vy = self.problem.velocity(xs, ys)
         vx, vy = np.asarray(vx, dtype=float), np.asarray(vy, dtype=float)
         spd2 = vx ** 2 + vy ** 2
         i, j = self.et.i, self.et.j
@@ -186,8 +186,8 @@ class LimiterContext:
         if np.any(m2 <= 0.0):
             raise ValueError("velocity vanishes at both endpoints of a mesh "
                              "edge; balancing flux undefined")
-        proj = ((x[i, 0] - x[j, 0]) * (vx[i] + vx[j])
-                + (x[i, 1] - x[j, 1]) * (vy[i] + vy[j]))
+        proj = ((xs[i] - xs[j]) * (vx[i] + vx[j])
+                + (ys[i] - ys[j]) * (vy[i] + vy[j]))
         return proj / (2.0 * m2)
 
     def balancing_flux(self, s):

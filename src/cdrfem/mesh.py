@@ -53,9 +53,10 @@ class Mesh:
     node_permutation : (n,) int array or None
         Maps current node index to the index before reordering.
 
-    The constructor rejects non-finite vertices and cell indices outside
-    [0, n), and sets ``cell_areas``, the (c,) signed cell areas, and ``h``,
-    the largest edge length.
+    The constructor rejects non-finite vertices, cell and boundary vertex
+    indices outside [0, n), boundary edges not of shape (b, 2) and tags not
+    of shape (b,).  It sets ``cell_areas``, the (c,) signed cell areas, and
+    ``h``, the largest edge length.
     """
 
     def __init__(self, vertices, cells, boundary_edges, boundary_tags,
@@ -74,6 +75,14 @@ class Mesh:
             raise ValueError("vertex coordinates must be finite")
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= n):
             raise ValueError(f"cell vertex indices must lie in [0, {n})")
+        be = self.boundary_edges
+        if be.ndim != 2 or be.shape[1] != 2:
+            raise ValueError("boundary_edges must have shape (b, 2)")
+        if be.size and (be.min() < 0 or be.max() >= n):
+            raise ValueError(f"boundary vertex indices must lie in [0, {n})")
+        if self.boundary_tags.shape != (len(be),):
+            raise ValueError(f"boundary_tags must have shape ({len(be)},), "
+                             f"one tag per boundary edge")
         (x0, x1, x2), (y0, y1, y2) = _corners(self)
         dx1, dy1 = x1 - x0, y1 - y0
         dx2, dy2 = x2 - x0, y2 - y0
@@ -172,8 +181,27 @@ def _corners(mesh):
     return tuple(np.ascontiguousarray(v)[cols] for v in mesh.vertices.T)
 
 
+# rows per block of the row-blocked stages (mirror cells, error norms, VTK
+# rows), so that their elementwise temporaries stay in cache
+_BLOCK_ROWS = 1 << 14
+
+
+def _row_blocks(n, width=1):
+    """Slices of consecutive rows covering [0, n), each of _BLOCK_ROWS
+    values when a row holds ``width`` values (at least one row)."""
+    step = max(_BLOCK_ROWS // width, 1)
+    return (slice(s, s + step) for s in range(0, n, step))
+
+
+def _rays(v, et, third):
+    """One coordinate of the rays x_j - x_i and x_third - x_i and of the
+    direction x_i - x_j of every directed edge (i, j)."""
+    vi, vj = v[et.i], v[et.j]
+    return vj - vi, v[third] - vi, vi - vj
+
+
 def _mirror_cells(mesh):
-    x = mesh.vertices
+    xs, ys = (np.ascontiguousarray(v) for v in mesh.vertices.T)
     et = mesh.edges
     nc = mesh.num_cells
 
@@ -186,36 +214,38 @@ def _mirror_cells(mesh):
     left[ccw] = np.arange(nc)[:, None]
     third = et.i.copy()
     third[ccw] = mesh.cells[:, [2, 0, 1]]
-    dp0, dp1 = (x[et.j] - x[et.i]).T.copy()
-    dq0, dq1 = (x[third] - x[et.i]).T.copy()
+    (dp0, dq0, w0), (dp1, dq1, w1) = (_rays(v, et, third) for v in (xs, ys))
     det = dp0 * dq1 - dp1 * dq0
     det[left == nc] = 1.0
 
-    w0, w1 = (x[et.i] - x[et.j]).T.copy()
     degree = np.diff(et.indptr)
     tol = 1e-12
 
-    def candidates(rows):
-        # per pass k, candidate k of each edge (i, j) given by its row i:
-        # the left cell of the k-th edge of row i, the last one repeated on
-        # short rows
-        first, deg = et.indptr[rows], degree[rows]
-        for k in range(deg.max(initial=0)):
-            r = first + np.minimum(k, deg - 1)
-            yield r, left[r]
-
     # stage 1: the smallest wedge cell, whose corner wedge at x_i contains
-    # the direction x_i - x_j
-    best = np.full(len(et.i), nc)
-    for r, cell in candidates(et.i):
-        d = det[r]
-        a = (w0 * dq1[r] - w1 * dq0[r]) / d
-        b = (dp0[r] * w1 - dp1[r] * w0) / d
-        wedge = (a >= -tol) & (b >= -tol) & (cell != nc)
-        np.minimum(best, np.where(wedge, cell, nc), out=best)
+    # the direction x_i - x_j.  The rows of one degree D are taken a block
+    # at a time as (D, rows) arrays, column r holding the D edges of row r;
+    # pass k offers every edge of a row the left cell of the row's k-th
+    # edge (cell nc leaves the minimum as it is)
+    best = np.empty(len(et.i), dtype=left.dtype)
+    for deg in np.flatnonzero(np.bincount(degree)):
+        starts = et.indptr[:-1][degree == deg]
+        for blk in _row_blocks(len(starts), deg):
+            e = starts[blk] + np.arange(deg)[:, None]
+            cell, d = left[e], det[e]
+            p0, p1, q0, q1 = dp0[e], dp1[e], dq0[e], dq1[e]
+            v0, v1 = w0[e], w1[e]
+            out = np.full(e.shape, nc)
+            for k in range(deg):
+                a = (v0 * q1[k] - v1 * q0[k]) / d[k]
+                b = (p0[k] * v1 - p1[k] * v0) / d[k]
+                wedge = (a >= -tol) & (b >= -tol)
+                np.minimum(out, np.where(wedge, cell[k], nc), out=out)
+            best[e] = out
 
     # stage 2, on the edges without a wedge cell: the smallest angle to a
-    # corner ray, then the smallest cell
+    # corner ray, then the smallest cell.  Pass k offers each edge (i, j)
+    # the left cell of the k-th edge of row i, the last one repeated on
+    # short rows
     edges = np.flatnonzero(best == nc)
     v0, v1 = w0[edges], w1[edges]
 
@@ -224,9 +254,12 @@ def _mirror_cells(mesh):
         dot = v0 * d0 + v1 * d1
         return np.arctan2(cross, dot)
 
+    first, deg = et.indptr[et.i[edges]], degree[et.i[edges]]
     best_key = np.full(len(edges), np.inf)
     rest = np.full(len(edges), nc)
-    for r, cell in candidates(et.i[edges]):
+    for k in range(deg.max(initial=0)):
+        r = first + np.minimum(k, deg - 1)
+        cell = left[r]
         key = np.minimum(angle(dp0[r], dp1[r]), angle(dq0[r], dq1[r]))
         key[cell == nc] = np.inf
         better = (key < best_key) | ((key == best_key) & (cell < rest))

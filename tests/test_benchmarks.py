@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-import cdrfem.mesh
-import cdrfem.solver
+import cdrfem.benchmarks
 from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
                     convergence_study, eoc, error_norms, solve)
 from cdrfem.benchmarks import problem_boundary_layers, problem_equilibrium
-from cases import classified
+from cases import classified, refined
+from oracles import gathered_error_norms
 
 
 def test_interior_layers_coefficients():
@@ -146,6 +146,31 @@ def test_error_norms_rejects_wrong_shape():
             error_norms(mesh, u, p.exact)
 
 
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_error_norms_match_gathered_oracle(monkeypatch, grid_id, block):
+    # bit for bit, at the exact solution's interpolant and at a noisy u with
+    # +0 and -0 entries; a block of 7 cells leaves a partial last block
+    if block is not None:
+        monkeypatch.setattr("cdrfem.mesh._BLOCK_ROWS", block)
+    rng = np.random.default_rng(grid_id)
+    for name in ("boundary-layers", "circular-convection", "equilibrium"):
+        exact = PROBLEMS[name]().exact
+        for level in range(7 if block is None else 4):
+            mesh = refined(grid_id, level)
+            x = mesh.vertices
+            u = exact(x[:, 0], x[:, 1])
+            noisy = u + 1e-3 * rng.standard_normal(u.size)
+            pick = rng.random(u.size)
+            noisy[pick < 0.1] = 0.0
+            noisy[pick > 0.9] = -0.0
+            for v in (u, noisy):
+                got = error_norms(mesh, v, exact)
+                want = gathered_error_norms(mesh, v, exact)
+                assert [e.hex() for e in got] == [e.hex() for e in want], \
+                    (name, level)
+
+
 def test_eoc_values():
     assert eoc(0.4, 0.1) == pytest.approx(2.0, abs=1e-14)
     assert eoc(1.2726041914149e-3, 2.9652705261797e-4) == pytest.approx(
@@ -173,7 +198,7 @@ def test_convergence_study_warm_start_matches(monkeypatch):
         reports.append(solve(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cdrfem.solver, "solve", recording_solve)
+    monkeypatch.setattr(cdrfem.benchmarks, "solve", recording_solve)
     p = PROBLEMS["circular-convection"]()
     opts = SolveOptions(damping=0.25, max_iter=6000)
     cold = convergence_study(p, 1, range(1, 4), opts)
@@ -217,7 +242,10 @@ def test_convergence_study_rejects_bad_levels(monkeypatch):
     def no_mesh(*args, **kwargs):
         raise AssertionError("mesh built before the levels were checked")
 
-    monkeypatch.setattr(cdrfem.mesh, "build_level0", no_mesh)
+    monkeypatch.setattr(cdrfem.benchmarks, "build_level0", no_mesh)
+    # the guard is reached: valid levels build a mesh and trip it
+    with pytest.raises(AssertionError, match="mesh built"):
+        convergence_study(p, 1, [0])
     for levels in ([True], [2.5], [1, 2.0], [np.int64(0), np.bool_(True)]):
         with pytest.raises(ValueError, match="integers"):
             convergence_study(p, 1, levels)

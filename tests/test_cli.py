@@ -55,22 +55,27 @@ def test_solve_writes_report_and_field(tmp_path):
     assert len(values) == ndof and np.all(np.isfinite(values))
 
 
-@pytest.mark.parametrize("grid_id, chunk_rows", [
+@pytest.mark.parametrize("grid_id, block_rows", [
     pytest.param(1, None, id="1"), pytest.param(2, None, id="2"),
-    # points, cells and values span several chunks and end on a partial one
+    # points, cells and values span several blocks of rows and end on a
+    # partial one
     pytest.param(1, 7, id="1-chunk7"), pytest.param(2, 7, id="2-chunk7"),
 ])
 def test_write_vtk_matches_scalar_writer(tmp_path, monkeypatch, grid_id,
-                                         chunk_rows):
-    if chunk_rows is not None:
-        monkeypatch.setattr("cdrfem.cli._VTK_CHUNK_ROWS", chunk_rows)
+                                         block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr("cdrfem.mesh._BLOCK_ROWS", block_rows)
     mesh = classified(PROBLEMS["boundary-layers"](), grid_id, 3)
     rng = np.random.default_rng(grid_id)
     u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(
         -30, 30, mesh.num_vertices)
+    # NaNs with the sign bit and with another payload than np.nan's
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000001], dtype=np.uint64).view(np.float64)
     special = [-0.0, 0.0, 5e-324, -2.5e-310, 1.0, -3.0, 2.0 ** 60, 1e22, 0.1,
-               -1.0 / 3.0]
+               -1.0 / 3.0, np.inf, -np.inf, *nans]
     u[:len(special)] = special
+    u[-len(special):] = special
     write_vtk(mesh, u, tmp_path / "new.vtk")
     write_vtk_by_scalar(mesh, u, tmp_path / "old.vtk")
     assert (tmp_path / "new.vtk").read_bytes() == \

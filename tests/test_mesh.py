@@ -186,6 +186,35 @@ def test_mesh_rejects_cell_index_out_of_range(cells):
              [BOTTOM, RIGHT, TOP, LEFT])
 
 
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+SQUARE_CELLS = [(0, 1, 2), (0, 2, 3)]
+SQUARE_TAGS = [BOTTOM, RIGHT, TOP, LEFT]
+
+
+@pytest.mark.parametrize("edges", [[0, 1, 2, 3],
+                                   [(0, 1, 2), (1, 2, 3), (2, 3, 0),
+                                    (3, 0, 1)]])
+def test_mesh_rejects_boundary_edges_of_wrong_shape(edges):
+    with pytest.raises(ValueError, match=r"shape \(b, 2\)"):
+        Mesh(SQUARE, SQUARE_CELLS, edges, SQUARE_TAGS)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 3), (3, -1)],
+                                   [(0, 1), (1, 2), (2, 9), (9, 0)]])
+def test_mesh_rejects_boundary_index_out_of_range(edges):
+    # -1 would wrap to vertex 3, which classify_and_order turns into the
+    # edge (3, 3); 9 raised IndexError there
+    with pytest.raises(ValueError, match=r"boundary vertex indices.*\[0, 4\)"):
+        Mesh(SQUARE, SQUARE_CELLS, edges, SQUARE_TAGS)
+
+
+@pytest.mark.parametrize("tags", [SQUARE_TAGS[:3], SQUARE_TAGS + [BOTTOM],
+                                  [SQUARE_TAGS]])
+def test_mesh_rejects_boundary_tags_of_wrong_shape(tags):
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        Mesh(SQUARE, SQUARE_CELLS, [(0, 1), (1, 2), (2, 3), (3, 0)], tags)
+
+
 def test_refine_euler_and_counts():
     # V - E + C = 1 for a triangulated disk; cells grow by factor 4
     for gid in (1, 2):
@@ -340,8 +369,27 @@ def test_mirror_cells_match_lexsort_oracle(grid_id):
             assert np.array_equal(mesh.mirror_cells,
                                   lexsort_mirror_cells(mesh)), (level, name)
         base = refine(base)
-    mesh = jittered(grid_id, 3)
-    assert np.array_equal(mesh.mirror_cells, lexsort_mirror_cells(mesh))
+    for mesh in (jittered(grid_id, 3), irrational(grid_id, 3)):
+        assert np.array_equal(mesh.mirror_cells, lexsort_mirror_cells(mesh))
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_mirror_cells_across_row_blocks(monkeypatch, grid_id):
+    # a block holds block // D rows of degree D (at least one): some degree
+    # groups end on a partial block, and some are smaller than one block
+    partial = small = False
+    for block in (7, 50):
+        monkeypatch.setattr("cdrfem.mesh._BLOCK_ROWS", block)
+        for mesh in (refined(grid_id, 3), jittered(grid_id, 3),
+                     irrational(grid_id, 2)):
+            sizes = np.bincount(np.diff(mesh.edges.indptr))
+            for deg in np.flatnonzero(sizes):
+                step = max(block // deg, 1)
+                partial |= sizes[deg] % step != 0
+                small |= sizes[deg] < step
+            assert np.array_equal(mesh.mirror_cells,
+                                  lexsort_mirror_cells(mesh)), block
+    assert partial and small
 
 
 def test_mirror_cells_contain_owner():

@@ -31,7 +31,13 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
 * ``set-up arrays``: the bytes, dtype and shape of ``h``, ``cell_areas``,
   ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
   classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
-  array of its ``Operators``, for every problem on both grids at level 5.
+  array of its ``Operators``, for every problem on both grids at level 5;
+* ``output path``: the bytes ``cli.write_vtk`` writes, the ``.hex()`` of
+  both ``error_norms`` and the rows of ``audit_dmp`` (its floats as
+  ``.hex()``), for the zero-sweep solve from the exact ramp at grid 2,
+  level 6 (as the level-8 benchmark workload runs it) and for a seeded
+  generic iterate on the same mesh: the ramp plus noise of 1e-12 to 1,
+  with some entries +0 and -0.
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
 case differs.  The set takes about 10 s on a 2-vCPU machine.
@@ -166,6 +172,36 @@ def _setup_array_bytes(problem, grid):
                     + value.tobytes() for name, value in arrays.items())
 
 
+def _output_path(path):
+    """Write the files of the ``output path`` case into ``path``."""
+    import cdrfem.cli
+    from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
+                        error_norms, solve)
+
+    problem = PROBLEMS["equilibrium"]()
+    mesh = _classified(problem, 2, 6)
+    ops = assemble(mesh, problem)
+    ramp = mesh.vertices[:, 0].copy()
+    report = solve(mesh, problem,
+                   SolveOptions(wb_variant="full", initial_guess=ramp),
+                   ops=ops)
+    rng = np.random.default_rng(26)
+    generic = ramp + rng.standard_normal(ramp.size) * 10.0 ** rng.integers(
+        -12, 1, ramp.size)
+    pick = rng.random(generic.size)
+    generic[pick < 0.05] = 0.0
+    generic[pick > 0.95] = -0.0
+    for label, u in (("ramp", report.u), ("generic", generic)):
+        cdrfem.cli.write_vtk(mesh, u, path / f"{label}.vtk")
+        norms = error_norms(mesh, u, problem.exact)
+        checks = audit_dmp(dataclasses.replace(report, u=u), mesh, ops,
+                           problem)
+        rows = [" ".join(e.hex() for e in norms)]
+        rows += [f"{c.name},{c.applicable},{c.violations},"
+                 f"{float(c.max_violation).hex()}" for c in checks]
+        (path / f"{label}.txt").write_text("\n".join(rows) + "\n")
+
+
 def _case_dir(out, name):
     path = Path(out, name)
     path.mkdir(parents=True)
@@ -237,6 +273,8 @@ def collect(tree, out):
         for grid in (1, 2):
             (path / f"{pname} g{grid}.bin").write_bytes(
                 _setup_array_bytes(factory(), grid))
+
+    _output_path(_case_dir(out, "output path"))
 
     path = _case_dir(out, "Gauss-Seidel corrections")
     for pname, grid, level in GS_MESHES:
