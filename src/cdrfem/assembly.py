@@ -22,8 +22,14 @@ _PHI = np.array([[0.5, 0.0, 0.5],
                  [0.0, 0.5, 0.5]])
 # per hat a, the first and the second midpoint q at which it is 1/2
 _Q1, _Q2 = np.nonzero(_PHI)[1].reshape(3, 2).T
-# the local pairs (a, b), a != b, in the column order of cell_edges
+# the local pairs (a, b), a != b, in the row order of cell_edges
 _OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def _midpoints(mesh):
+    """The quadrature nodes: x and y of the edge midpoints m01, m12, m20
+    of every cell, two (3, c) arrays."""
+    return tuple(0.5 * (v + np.roll(v, -1, axis=0)) for v in _corners(mesh))
 
 
 class Operators:
@@ -65,8 +71,8 @@ def _local_blocks(mesh, problem):
 
     Each is built entry-major, one contiguous row of c values per entry,
     and returned as a (c, ...) view of those rows.  The fields are sampled
-    at the (3, c) quadrature points.  Every entry is summed in the order,
-    and so has the bits, of the einsums of
+    at ``_midpoints``.  Every entry is summed in the order, and so has the
+    bits, of the einsums of
     ``tests/oracles.py::einsum_local_blocks``: the convection and source
     entries from +0 in q order over the two midpoints where the hat is 1/2
     (for finite fields, the product with its zero at the third is a signed
@@ -74,12 +80,8 @@ def _local_blocks(mesh, problem):
     over all three q.
     """
     area = mesh.cell_areas
-    grads = np.ascontiguousarray(mesh.cell_grads.transpose(1, 2, 0))
-    x, y = _corners(mesh)
-
-    # quadrature nodes: the three edge midpoints m01, m12, m20 of every cell
-    qx = 0.5 * (x + np.roll(x, -1, axis=0))           # (3, c)
-    qy = 0.5 * (y + np.roll(y, -1, axis=0))
+    grads = mesh.cell_grads
+    qx, qy = _midpoints(mesh)
     vx, vy = problem.velocity(qx, qy)
     cq = problem.reaction(qx, qy)
     fq = problem.source(qx, qy)
@@ -122,14 +124,13 @@ def assemble(mesh, problem):
     local_diff, local_conv, local_reac, local_b = _local_blocks(mesh, problem)
 
     et = mesh.edges
-    pair_edges = np.ascontiguousarray(et.cell_edges.T, dtype=np.intp).ravel()
 
     def scatter(local):
         # each off-diagonal entry is a contiguous row of the entry-major
         # blocks; a two-term sum from +0 does not depend on the order of its
         # terms
         off = np.concatenate([local[:, a, b] for a, b in _OFF_DIAGONAL])
-        return np.bincount(pair_edges, off, minlength=len(et.i))
+        return np.bincount(et.cell_edges.ravel(), off, minlength=len(et.i))
 
     def diagonal(local):
         diag = np.diagonal(local, axis1=1, axis2=2)

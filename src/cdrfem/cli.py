@@ -151,7 +151,8 @@ def _build_parser():
         p.add_argument("--damping", type=float, default=defaults.damping,
                        help="damping beta in (0, 1] of the steps without "
                             "mixing history (the first and each after a "
-                            "restart), the update (1 - beta) u + beta G(u); "
+                            "restart), the step u + beta f with f the "
+                            "Gauss-Seidel-preconditioned correction; "
                             "Anderson steps with history are undamped")
         p.add_argument("--tail-average", type=int,
                        default=defaults.tail_average,

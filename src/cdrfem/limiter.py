@@ -231,14 +231,12 @@ class LimiterContext:
         mesh = self.mesh
         kcell = mesh.mirror_cells
         vertex = np.take(np.ascontiguousarray(mesh.cells.T), kcell, axis=1)
-        # row k of grads[d] holds component d of the gradient of hat k
-        grads = np.ascontiguousarray(mesh.cell_grads.transpose(2, 1, 0))
         weight = np.zeros((3, len(kcell)))
-        for g, x in zip(grads, mesh.vertices.T):
+        for d, x in enumerate(mesh.vertices.T):
             x = np.ascontiguousarray(x)
             dx = x[self.et.i] - x[self.et.j]
             for k in range(3):
-                weight[k] += g[k][kcell] * dx
+                weight[k] += mesh.cell_grads[k, d][kcell] * dx
         return vertex, weight
 
     def fictitious_increment(self, u):

@@ -27,9 +27,9 @@ import numpy as np
 BOTTOM, RIGHT, TOP, LEFT = 0, 1, 2, 3
 
 # directed edges (i, j) of the cell edges, sorted by (i, j); rev maps each
-# edge to the position of its reverse, indptr groups edges by row i and the
-# int32 (cells, 6) cell_edges holds the position of every cell's local
-# pairs (a, b), a != b, in the order (0,1), (0,2), (1,0), (1,2), (2,0), (2,1)
+# edge to the position of its reverse, indptr groups edges by row i, and
+# row p of the int32 (6, c) cell_edges holds the edge of the local pair p,
+# (0,1), (0,2), (1,0), (1,2), (2,0) or (2,1), of every cell
 EdgeTable = namedtuple("EdgeTable", ["i", "j", "rev", "indptr", "cell_edges"])
 
 
@@ -53,10 +53,11 @@ class Mesh:
     node_permutation : (n,) int array or None
         Maps current node index to the index before reordering.
 
-    The constructor rejects non-finite vertices, cell and boundary vertex
-    indices outside [0, n), boundary edges not of shape (b, 2) and tags not
-    of shape (b,).  It sets ``cell_areas``, the (c,) signed cell areas, and
-    ``h``, the largest edge length.
+    The constructor rejects non-finite vertices, cells not of shape (c, 3)
+    with c >= 1, cell and boundary vertex indices outside [0, n), boundary
+    edges not of shape (b, 2) and tags not of shape (b,).  It sets
+    ``cell_areas``, the (c,) signed cell areas, and ``h``, the largest edge
+    length.  Per-cell tables are rows of c values, one per local entry.
     """
 
     def __init__(self, vertices, cells, boundary_edges, boundary_tags,
@@ -73,7 +74,9 @@ class Mesh:
         n = len(self.vertices)
         if not np.isfinite(self.vertices).all():
             raise ValueError("vertex coordinates must be finite")
-        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= n):
+        if self.cells.shape[1:] != (3,) or not self.cells.size:
+            raise ValueError("cells must have shape (c, 3) with c >= 1")
+        if self.cells.min() < 0 or self.cells.max() >= n:
             raise ValueError(f"cell vertex indices must lie in [0, {n})")
         be = self.boundary_edges
         if be.ndim != 2 or be.shape[1] != 2:
@@ -106,15 +109,15 @@ class Mesh:
 
     @cached_property
     def cell_grads(self):
-        """Gradients of the three barycentric hat functions, shape (c, 3, 2)."""
+        """Hat gradients (3, 2, c): row [k, d] holds component d of hat k."""
         x, y = _corners(self)
         two_area = 2.0 * self.cell_areas
-        g = np.empty((self.num_cells, 3, 2))
+        g = np.empty((3, 2, self.num_cells))
         for k in range(3):
             # grad of hat at vertex k is the rotated opposite edge / (2 area)
             a, b = (k + 1) % 3, (k + 2) % 3
-            np.divide(-(y[b] - y[a]), two_area, out=g[:, k, 0])
-            np.divide(x[b] - x[a], two_area, out=g[:, k, 1])
+            np.divide(-(y[b] - y[a]), two_area, out=g[k, 0])
+            np.divide(x[b] - x[a], two_area, out=g[k, 1])
         return g
 
     @cached_property
@@ -137,9 +140,9 @@ class Mesh:
         pos[order] = np.arange(len(order))
         rev = pos[(order + len(ukeys)) % len(order)]
         # the local pairs (a, b) lie on the cell edges 01, 20, 01, 12, 20, 12
-        c = self.cells
-        flip = c[:, [0, 0, 1, 1, 2, 2]] > c[:, [1, 2, 0, 2, 0, 1]]
-        und = inv.reshape(-1, 3)[:, [0, 2, 0, 1, 2, 1]] + len(ukeys) * flip
+        c = self.cells.T
+        flip = c[[0, 0, 1, 1, 2, 2]] > c[[1, 2, 0, 2, 0, 1]]
+        und = inv.reshape(-1, 3).T[[0, 2, 0, 1, 2, 1]] + len(ukeys) * flip
         cell_edges = pos[und].astype(np.int32)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
         return EdgeTable(i, j, rev, indptr, cell_edges)
@@ -209,11 +212,11 @@ def _mirror_cells(mesh):
     # (2,0) in cell_edges), the cell's third corner and the rays dp, dq from
     # x_i to the other two corners; a boundary edge with the domain on its
     # right keeps cell nc, a zero ray dq and a unit determinant
-    ccw = et.cell_edges[:, [0, 3, 4]]
+    ccw = et.cell_edges[[0, 3, 4]]
     left = np.full(len(et.i), nc)
-    left[ccw] = np.arange(nc)[:, None]
+    left[ccw] = np.arange(nc)
     third = et.i.copy()
-    third[ccw] = mesh.cells[:, [2, 0, 1]]
+    third[ccw] = mesh.cells.T[[2, 0, 1]]
     (dp0, dq0, w0), (dp1, dq1, w1) = (_rays(v, et, third) for v in (xs, ys))
     det = dp0 * dq1 - dp1 * dq0
     det[left == nc] = 1.0

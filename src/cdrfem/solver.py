@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import _midpoints, assemble
 from .limiter import LIMITERS, VARIANTS, LimiterContext, edge_state
 
 # a residual norm this many times max(first norm, 1) counts as divergence
@@ -324,9 +324,10 @@ def solve(mesh, problem, options=None, ops=None):
             raise RuntimeError(
                 f"fixed-point iteration diverged after {iterations} sweeps")
         if options.check_bounds:
-            free = ctx.free_row
-            over = state.ubar_s_star[free] - state.bar_max[state.ei[free]]
-            under = state.bar_min[state.ei[free]] - state.ubar_s_star[free]
+            nf = ctx.num_free_edges
+            star, owner = state.ubar_s_star[:nf], state.ei[:nf]
+            over = star - state.bar_max[owner]
+            under = state.bar_min[owner] - star
             worst = max(float(over.max()), float(under.max()))
             bound_max = max(bound_max, worst)
             bound_count += int(np.sum(over > 1e-12) + np.sum(under > 1e-12))
@@ -411,12 +412,8 @@ def audit_dmp(report, mesh, ops, problem, slack=1e-10):
 
     # positivity needs nonnegative data: sample the source where the
     # assembly sampled it and the boundary values at the Dirichlet nodes
-    p = mesh.vertices[mesh.cells]
-    qpts = 0.5 * (p + np.roll(p, -1, axis=1))
-    fq = np.asarray(problem.source(qpts[:, :, 0], qpts[:, :, 1]))
-    x = mesh.vertices
-    fn = np.asarray(problem.source(x[:, 0], x[:, 1]))
-    data_ok = bool(np.all(fq >= 0.0) and np.all(fn >= 0.0)
-                   and (ud.size == 0 or np.all(ud >= 0.0)))
+    fq = np.asarray(problem.source(*_midpoints(mesh)))
+    fn = np.asarray(problem.source(*mesh.vertices.T))
+    data_ok = all(np.all(v >= 0.0) for v in (fq, fn, ud))
     checks.append(_check("positivity", elliptic and data_ok, -u, slack))
     return checks

@@ -39,7 +39,7 @@ def roll_h(mesh):
 
 def gathered_cell_geometry(mesh):
     """``Mesh.cell_areas`` and ``Mesh.cell_grads`` from the (c, 3, 2)
-    gather of the cell corners."""
+    gather of the cell corners, the gradients cell-major as (c, 3, 2)."""
     p = mesh.vertices[mesh.cells]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
@@ -60,8 +60,8 @@ def einsum_grad_incr(ctx):
     kcell = mesh.mirror_cells
     vertex = np.ascontiguousarray(mesh.cells[kcell].T)
     dx = mesh.vertices[ctx.et.i] - mesh.vertices[ctx.et.j]
-    weight = np.ascontiguousarray(
-        np.einsum("ekd,ed->ke", mesh.cell_grads[kcell], dx))
+    grads = np.moveaxis(mesh.cell_grads, -1, 0)[kcell]
+    weight = np.ascontiguousarray(np.einsum("ekd,ed->ke", grads, dx))
     return vertex, weight
 
 
@@ -181,7 +181,8 @@ def einsum_local_blocks(mesh, problem):
     """``assembly._local_blocks`` with all four cell blocks as ``np.einsum``
     contractions: (local_diff, local_conv, local_reac, local_b)."""
     area = mesh.cell_areas
-    grads = mesh.cell_grads
+    # the (c, 3, 2) gradients, contiguous as the einsums read them
+    grads = np.ascontiguousarray(np.moveaxis(mesh.cell_grads, -1, 0))
     p = mesh.vertices[mesh.cells]
     phi = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
@@ -304,7 +305,7 @@ def fictitious_value(mesh, u, i, j):
     cell = mirror_cell(mesh, i, j)
     tri = mesh.cells[cell]
     dx = mesh.vertices[i] - mesh.vertices[j]
-    return float(u[i] + u[tri] @ (mesh.cell_grads[cell] @ dx))
+    return float(u[i] + u[tri] @ (mesh.cell_grads[:, :, cell] @ dx))
 
 
 def bar_state(u_i, u_j, conv_ij, d_ij):

@@ -38,6 +38,8 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def interior_l5():
+    # the damping-0.5 solve: criteria 5-7 read that one of the two fixed
+    # points (test_interior_layers_two_fixed_points)
     prob = PROBLEMS["interior-layers"]()
     mesh = classified(prob, 1, 5)
     ops = assemble(mesh, prob)
@@ -204,6 +206,37 @@ def test_criterion_07_plateau(interior_l5):
            f"downstream plateau respected: max u {umax:.4f} (bound 5.05); "
            f"unbalanced limiter for comparison: max u {float(mc.u.max()):.4f}"
            f" (reported only)")
+
+
+def test_interior_layers_two_fixed_points(interior_l5):
+    """interior-layers at grid 1, level 5 has two fixed points.
+
+    The default solve (damping 1) and the damping-0.5 solve of the
+    ``interior_l5`` fixture both converge; re-solved from their results to
+    a residual of 1e-12, they stay 1.84e-2 apart in the max norm, and both
+    pass every applicable ``audit_dmp`` check with max u 5.013532.
+    Criteria 5-7 read the damping-0.5 fixed point: the fixture's solve lies
+    within 1e-6 of it.
+    """
+    prob, mesh, ops, half = interior_l5
+    default = solve(mesh, prob, SolveOptions(max_iter=20000), ops=ops)
+    points = []
+    for first, damping in ((default, 1.0), (half, 0.5)):
+        assert first.converged
+        tight = solve(mesh, prob,
+                      SolveOptions(damping=damping, tol=1e-12,
+                                   max_iter=20000, initial_guess=first.u),
+                      ops=ops)
+        assert tight.converged
+        checks = audit_dmp(tight, mesh, ops, prob)
+        assert sum(c.applicable for c in checks) == 6
+        assert all(c.violations == 0 for c in checks)
+        assert abs(tight.u.max() - 5.013532) < 1e-6
+        points.append(tight.u)
+    gap = np.abs(points[0] - points[1]).max()
+    assert 1.8e-2 < gap < 1.9e-2, gap
+    assert np.abs(half.u - points[1]).max() < 1e-6
+    assert np.abs(half.u - points[0]).max() > 1.8e-2
 
 
 def test_criterion_08_convergence_table(ladder_runs):

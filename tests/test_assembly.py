@@ -123,7 +123,7 @@ def test_edges_and_operators_match_csr_oracle(grid_id):
                                                                  field)
             assert et.cell_edges.dtype == np.int32
             c = mesh.cells
-            local = et.cell_edges
+            local = et.cell_edges.T
             assert np.array_equal(et.i[local], c[:, [0, 0, 1, 1, 2, 2]])
             assert np.array_equal(et.j[local], c[:, [1, 2, 0, 2, 0, 1]])
             ops = assemble(mesh, prob)

@@ -139,7 +139,8 @@ def test_geometry_matches_gathered_oracles(grid_id):
             area, grads = gathered_cell_geometry(m)
             assert np.array_equal(bits(m.h), bits(roll_h(m))), level
             assert np.array_equal(bits(m.cell_areas), bits(area)), level
-            assert np.array_equal(bits(m.cell_grads), bits(grads)), level
+            assert np.array_equal(bits(m.cell_grads),
+                                  bits(np.moveaxis(grads, 0, -1))), level
             for got, want in zip(_edge_keys(m), stack_sort_edge_keys(m)):
                 assert np.array_equal(bits(got), bits(want)), level
 
@@ -189,6 +190,17 @@ def test_mesh_rejects_cell_index_out_of_range(cells):
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_CELLS = [(0, 1, 2), (0, 2, 3)]
 SQUARE_TAGS = [BOTTOM, RIGHT, TOP, LEFT]
+
+
+@pytest.mark.parametrize("cells", [[0, 1, 2], [(0, 1, 2, 3)],
+                                   [(0, 1), (1, 2)],
+                                   np.empty((0, 3), dtype=int)],
+                         ids=["1-d", "4 corners", "2 corners", "no cells"])
+def test_mesh_rejects_cells_of_wrong_shape(cells):
+    # a flat triple built a mesh of three "cells"; wider or narrower rows
+    # and an empty array failed inside the geometry with NumPy's messages
+    with pytest.raises(ValueError, match=r"shape \(c, 3\) with c >= 1"):
+        Mesh(SQUARE, cells, [(0, 1), (1, 2), (2, 3), (3, 0)], SQUARE_TAGS)
 
 
 @pytest.mark.parametrize("edges", [[0, 1, 2, 3],

@@ -32,6 +32,9 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
   classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
   array of its ``Operators``, for every problem on both grids at level 5;
+  ``cell_grads`` and ``cell_edges`` are written in the row layout (3, 2, c)
+  and (6, c), so that a tree storing them cell-major, as (c, 3, 2) and
+  (c, 6), compares value for value;
 * ``output path``: the bytes ``cli.write_vtk`` writes, the ``.hex()`` of
   both ``error_norms`` and the rows of ``audit_dmp`` (its floats as
   ``.hex()``), for the zero-sweep solve from the exact ramp at grid 2,
@@ -152,6 +155,12 @@ def _edge_state_bytes(problem, grid):
     return b"".join(chunks)
 
 
+def _cell_rows(a, num_cells):
+    """A per-cell array in the row layout (..., c): a cell-major (c, ...)
+    array comes back with its cell axis moved last."""
+    return a if a.shape[-1] == num_cells else np.moveaxis(a, 0, -1)
+
+
 def _setup_array_bytes(problem, grid):
     """The bytes of the ``set-up arrays`` case for one problem and grid."""
     from cdrfem import assemble
@@ -161,9 +170,11 @@ def _setup_array_bytes(problem, grid):
     ops = assemble(mesh, problem)
     vertex, weight = LimiterContext(ops, problem).grad_incr
     arrays = {"h": np.float64(mesh.h), "cell_areas": mesh.cell_areas,
-              "cell_grads": mesh.cell_grads}
+              "cell_grads": _cell_rows(mesh.cell_grads, mesh.num_cells)}
     arrays.update((f"edges.{name}", value)
                   for name, value in mesh.edges._asdict().items())
+    arrays["edges.cell_edges"] = _cell_rows(mesh.edges.cell_edges,
+                                            mesh.num_cells)
     arrays.update({"mirror_cells": mesh.mirror_cells,
                    "grad_incr vertex": vertex, "grad_incr weight": weight})
     arrays.update((f"ops.{name}", value) for name, value in vars(ops).items()
