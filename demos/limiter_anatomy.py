@@ -32,7 +32,7 @@ for _ in range(2):
     mesh = refine(mesh)
 mesh = classify_and_order(mesh, problem)
 ops = assemble(mesh, problem)
-ctx = LimiterContext(ops, problem)
+ctx = LimiterContext(ops)
 
 rng = np.random.default_rng(7)
 u = rng.uniform(0.0, 5.0, mesh.num_vertices)

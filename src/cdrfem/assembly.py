@@ -37,6 +37,8 @@ class Operators:
 
     Attributes
     ----------
+    problem, source_nonnegative :
+        The problem assembled, and whether all its source samples are >= 0.
     b : (n,) array
         Source functional; identically zero on Dirichlet rows.
     reaction_lumped : (n,) array
@@ -54,20 +56,19 @@ class Operators:
         implied.
     """
 
-    def __init__(self, mesh, b, reaction_lumped, art_row, row_weight,
-                 edge_arrays):
-        self.mesh = mesh
+    def __init__(self, mesh, problem, source_nonnegative, b,
+                 reaction_lumped, art_row, row_weight, edge_arrays):
+        self.mesh, self.problem = mesh, problem
+        self.source_nonnegative = source_nonnegative
         self.num_free = mesh.num_free
-        self.b = b
-        self.reaction_lumped = reaction_lumped
-        self.art_row = art_row
-        self.row_weight = row_weight
+        self.b, self.reaction_lumped = b, reaction_lumped
+        self.art_row, self.row_weight = art_row, row_weight
         self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
 
 
 def _local_blocks(mesh, problem):
     """Cell matrices (c, 3, 3) of the diffusion, convection and reaction
-    blocks and the cell source vectors (c, 3).
+    blocks, the cell source vectors (c, 3) and ``source_nonnegative``.
 
     Each is built entry-major, one contiguous row of c values per entry,
     and returned as a (c, ...) view of those rows.  The fields are sampled
@@ -111,8 +112,8 @@ def _local_blocks(mesh, problem):
                             + grads[a, 1] * grads[b, 1]) * ea
         local_reac[b, a] = local_reac[a, b]
         local_diff[b, a] = local_diff[a, b]
-    return tuple(np.moveaxis(v, -1, 0)
-                 for v in (local_diff, local_conv, local_reac, local_b))
+    blocks = (local_diff, local_conv, local_reac, local_b)
+    return (*(np.moveaxis(v, -1, 0) for v in blocks), bool(np.min(fq) >= 0.0))
 
 
 def assemble(mesh, problem):
@@ -121,7 +122,8 @@ def assemble(mesh, problem):
         raise ValueError("mesh must be classified before assembly")
     n = mesh.num_vertices
     cells = mesh.cells
-    local_diff, local_conv, local_reac, local_b = _local_blocks(mesh, problem)
+    (local_diff, local_conv, local_reac, local_b,
+     source_nonnegative) = _local_blocks(mesh, problem)
 
     et = mesh.edges
 
@@ -165,8 +167,8 @@ def assemble(mesh, problem):
     if np.any(row_weight[:mesh.num_free] <= 0.0):
         raise ValueError("nonpositive fixed-point row weight; coefficient "
                          "assumptions violated")
-    return Operators(mesh, b, reaction_lumped, art_row, row_weight,
-                     (diff_e, conv_e, reac_e, d_e))
+    return Operators(mesh, problem, source_nonnegative, b, reaction_lumped,
+                     art_row, row_weight, (diff_e, conv_e, reac_e, d_e))
 
 
 def galerkin_residual(ops, u):

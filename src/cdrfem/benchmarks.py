@@ -14,7 +14,7 @@ import numpy as np
 from .assembly import Operators, assemble
 from .mesh import (BOTTOM, Mesh, _corners, _row_blocks, build_level0,
                    classify_and_order, prolong, refine)
-from .solver import SolveOptions, SolveReport, solve
+from .solver import SolveReport, _validated, solve
 
 
 @dataclass
@@ -132,11 +132,9 @@ def problem_circular_layers(epsilon=1e-4):
         r = np.sqrt(x ** 2 + y ** 2)
         return np.where((r >= 0.25) & (r <= 0.75), 1.0, 0.0)
 
-    def reaction(x, y):
-        return 1.0 - annulus(x, y)
-
     return ProblemSpec(name="circular-layers", epsilon=float(epsilon),
-                       velocity=_rotation, reaction=reaction, source=annulus,
+                       velocity=_rotation, source=annulus,
+                       reaction=lambda x, y: 1.0 - annulus(x, y),
                        dirichlet=_constant(0.0), neumann_sides=(BOTTOM,))
 
 
@@ -295,8 +293,7 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
     list of ErrorRecord, one per level; orders are left empty on the first
     level and whenever the problem has no exact solution.
     """
-    if options is None:
-        options = SolveOptions()
+    options = _validated(options)
     levels = list(levels)
     if any(not isinstance(lev, (int, np.integer)) or isinstance(lev, bool)
            for lev in levels):

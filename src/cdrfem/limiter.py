@@ -126,22 +126,18 @@ class LimiterContext:
     hold the sign of b_i on those edges.  ``two_d`` is 2*d_ij and ``bac_e``
     is b_i / a_i^C of the owner row, per edge; ``degree`` counts the edges of
     each row, and ``zero_rhs`` is the read-only right-hand side of the
-    balanced limiter.  ``LimiterContext(ops, problem)`` reads the mesh off
-    the operators.
+    balanced limiter.  ``LimiterContext(ops)`` reads the mesh and the
+    problem off the operators.
     """
 
-    def __init__(self, ops, problem):
+    def __init__(self, ops):
         mesh = self.mesh = ops.mesh
         self.ops = ops
-        self.problem = problem
         et = self.et = mesh.edges
-        m = mesh.num_free
-        self.free_row = et.i < m
-        self.num_free_edges = int(et.indptr[m])
+        self.num_free_edges = int(et.indptr[mesh.num_free])
         self.degree = np.diff(et.indptr)
         self.two_d = 2.0 * ops.d_e
-        self.b_over_ac = ops.b / ops.art_row
-        self.bac_e = self.b_over_ac[et.i]
+        self.bac_e = (ops.b / ops.art_row)[et.i]
         b_free = ops.b[et.i[:self.num_free_edges]]
         self.b_neg = b_free < 0.0
         self.b_zero = b_free == 0.0
@@ -167,18 +163,18 @@ class LimiterContext:
     @cached_property
     def f_node(self):
         x = self.mesh.vertices
-        return np.asarray(self.problem.source(x[:, 0], x[:, 1]), dtype=float)
+        return np.asarray(self.ops.problem.source(*x.T), dtype=float)
 
     @cached_property
     def c_node(self):
         x = self.mesh.vertices
-        return np.asarray(self.problem.reaction(x[:, 0], x[:, 1]), dtype=float)
+        return np.asarray(self.ops.problem.reaction(*x.T), dtype=float)
 
     @cached_property
     def geom_e(self):
         """Velocity projection factor of the balancing flux, per edge."""
         xs, ys = (np.ascontiguousarray(v) for v in self.mesh.vertices.T)
-        vx, vy = self.problem.velocity(xs, ys)
+        vx, vy = self.ops.problem.velocity(xs, ys)
         vx, vy = np.asarray(vx, dtype=float), np.asarray(vy, dtype=float)
         spd2 = vx ** 2 + vy ** 2
         i, j = self.et.i, self.et.j

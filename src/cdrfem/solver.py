@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .assembly import _midpoints, assemble
+from .assembly import assemble
 from .limiter import LIMITERS, VARIANTS, LimiterContext, edge_state
 
 # a residual norm this many times max(first norm, 1) counts as divergence
@@ -81,19 +81,15 @@ class SolveOptions:
             raise ValueError(f"unknown limiter {self.limiter!r}")
         if self.wb_variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.wb_variant!r}")
-        for name in ("tol", "damping"):
+        reals = (int, float, np.integer, np.floating), "a real number"
+        ints = (int, np.integer), "an integer"
+        for name, (kinds, what) in (("tol", reals), ("damping", reals),
+                                    ("max_iter", ints), ("tail_average", ints)):
             value = getattr(self, name)
-            if (not isinstance(value, (int, float, np.integer, np.floating))
-                    or isinstance(value, bool)):
-                raise ValueError(f"{name} must be a real number, got "
-                                 f"{value!r}")
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        for name in ("max_iter", "tail_average"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.check_bounds, (bool, np.bool_)):
             raise ValueError(f"check_bounds must be a bool, got "
                              f"{self.check_bounds!r}")
@@ -127,6 +123,16 @@ class SolveReport:
     bound_check: Optional[dict] = None
 
 
+def _validated(options):
+    """``options``, or the defaults for None, checked before any work."""
+    if options is None:
+        return SolveOptions()
+    if not isinstance(options, SolveOptions):
+        raise TypeError(f"options must be SolveOptions, got {type(options)}")
+    options.validate()
+    return options
+
+
 def residual(ops, state, u):
     """Row residuals of the frozen-state system over the unknown rows."""
     m = ops.num_free
@@ -148,10 +154,8 @@ def _initial_iterate(mesh, problem, guess):
     values pinned."""
     m = mesh.num_free
     xd = mesh.vertices[m:]
-    if isinstance(guess, str):
-        u = np.zeros(mesh.num_vertices)
-    else:
-        u = guess.astype(float)
+    u = (np.zeros(mesh.num_vertices) if isinstance(guess, str)
+         else guess.astype(float))
     u[m:] = np.asarray(problem.dirichlet(xd[:, 0], xd[:, 1]), dtype=float)
     return u
 
@@ -292,13 +296,13 @@ def solve(mesh, problem, options=None, ops=None):
     The colour groups of the correction are built at its first use, so a
     solve that stops at sweep 0 builds none.
     """
-    if options is None:
-        options = SolveOptions()
-    options.validate()
+    options = _validated(options)
     if mesh.num_free is None:
         raise ValueError("mesh must be classified before solving")
     if ops is not None and ops.mesh is not mesh:
         raise ValueError("ops were assembled on another mesh")
+    if ops is not None and ops.problem is not problem:
+        raise ValueError("ops were assembled for another problem")
     n = mesh.num_vertices
     guess = options.initial_guess
     if isinstance(guess, np.ndarray) and guess.shape != (n,):
@@ -306,7 +310,7 @@ def solve(mesh, problem, options=None, ops=None):
     if ops is None:
         ops = assemble(mesh, problem)
 
-    ctx = LimiterContext(ops, problem)
+    ctx = LimiterContext(ops)
     u = _initial_iterate(mesh, problem, guess)
     tail = options.tail_average
     mixer = _Anderson(mesh.num_free, float(options.damping))
@@ -346,13 +350,11 @@ def solve(mesh, problem, options=None, ops=None):
         if tail > 0 and iterations > options.max_iter - tail:
             acc = u.copy() if acc is None else acc + u
 
-    report = SolveReport(
+    bounds = {"max_violation": bound_max, "violations": bound_count}
+    return SolveReport(
         u=u, converged=converged, iterations=iterations,
-        residual_history=np.asarray(history), restarts=mixer.restarts)
-    if options.check_bounds:
-        report.bound_check = {"max_violation": bound_max,
-                              "violations": bound_count}
-    return report
+        residual_history=np.asarray(history), restarts=mixer.restarts,
+        bound_check=bounds if options.check_bounds else None)
 
 
 @dataclass
@@ -380,9 +382,14 @@ def audit_dmp(report, mesh, ops, problem, slack=1e-10):
     """
     if ops.mesh is not mesh:
         raise ValueError("ops were assembled on another mesh")
+    if ops.problem is not problem:
+        raise ValueError("ops were assembled for another problem")
     u = report.u
-    m = mesh.num_free
-    et = mesh.edges
+    if u.shape != (mesh.num_vertices,):
+        raise ValueError(f"report.u must have shape ({mesh.num_vertices},)")
+    if not 0.0 <= slack < np.inf:
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
+    m, et = mesh.num_free, mesh.edges
     elliptic = problem.epsilon > 0.0
     uf, ud = u[:m], u[m:]
     no_reac = ops.reaction_lumped[:m] == 0.0
@@ -410,10 +417,8 @@ def audit_dmp(report, mesh, ops, problem, slack=1e-10):
     # each check is reported for the max side, then for the min side
     checks = [c for pair in zip(*sides) for c in pair]
 
-    # positivity needs nonnegative data: sample the source where the
-    # assembly sampled it and the boundary values at the Dirichlet nodes
-    fq = np.asarray(problem.source(*_midpoints(mesh)))
+    # positivity needs nonnegative source samples and boundary values
     fn = np.asarray(problem.source(*mesh.vertices.T))
-    data_ok = all(np.all(v >= 0.0) for v in (fq, fn, ud))
+    data_ok = ops.source_nonnegative and np.all(fn >= 0.0) and np.all(ud >= 0.0)
     checks.append(_check("positivity", elliptic and data_ok, -u, slack))
     return checks

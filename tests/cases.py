@@ -33,7 +33,13 @@ def limiter_case(problem, grid_id, level):
     context of ``problem`` on it."""
     mesh = classified(problem, grid_id, level)
     ops = assemble(mesh, problem)
-    return mesh, ops, LimiterContext(ops, problem)
+    return mesh, ops, LimiterContext(ops)
+
+
+def free_edges(ctx):
+    """Mask of the edges out of free rows, the prefix of
+    ``ctx.num_free_edges`` edges."""
+    return np.arange(len(ctx.et.i)) < ctx.num_free_edges
 
 
 def random_iterate(mesh, problem, rng, spread=1.0):

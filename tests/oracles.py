@@ -179,7 +179,8 @@ def adjacency_edges(mesh):
 
 def einsum_local_blocks(mesh, problem):
     """``assembly._local_blocks`` with all four cell blocks as ``np.einsum``
-    contractions: (local_diff, local_conv, local_reac, local_b)."""
+    contractions: (local_diff, local_conv, local_reac, local_b,
+    source_nonnegative)."""
     area = mesh.cell_areas
     # the (c, 3, 2) gradients, contiguous as the einsums read them
     grads = np.ascontiguousarray(np.moveaxis(mesh.cell_grads, -1, 0))
@@ -200,7 +201,7 @@ def einsum_local_blocks(mesh, problem):
     local_diff = problem.epsilon * area[:, None, None] * np.einsum(
         "cad,cbd->cab", grads, grads)
     local_b = np.einsum("aq,cq->ca", phi, fq * w)
-    return local_diff, local_conv, local_reac, local_b
+    return local_diff, local_conv, local_reac, local_b, bool(np.all(fq >= 0.0))
 
 
 def csr_assemble(mesh, problem):
@@ -214,7 +215,7 @@ def csr_assemble(mesh, problem):
     """
     n = mesh.num_vertices
     cells = mesh.cells
-    local_diff, local_conv, local_reac, local_b = einsum_local_blocks(
+    local_diff, local_conv, local_reac, local_b, _ = einsum_local_blocks(
         mesh, problem)
 
     (indptr, indices), (ei, ej, rev, eptr) = adjacency_edges(mesh)

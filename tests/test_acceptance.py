@@ -15,8 +15,8 @@ from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
 from cdrfem.cli import run
 from cdrfem.limiter import edge_state
 from cdrfem.solver import _initial_iterate, fixed_point_step, residual
-from cases import (classified, limiter_case, random_iterate, row_scale,
-                   unclipped)
+from cases import (classified, free_edges, limiter_case, random_iterate,
+                   row_scale, unclipped)
 from oracles import galerkin_row_residual
 
 # iteration setup for the circular-convection ladder (criteria 8 and 10).
@@ -131,7 +131,7 @@ def test_criterion_04_limiter_algebra():
         prob = PROBLEMS[name]()
         mesh, ops, ctx = limiter_case(prob, grid, 4)
         et = mesh.edges
-        free = ctx.free_row
+        free = free_edges(ctx)
         both_free = free & free[et.rev]
         for _ in range(3):
             u = random_iterate(mesh, prob, rng, spread=2.0)
@@ -150,7 +150,7 @@ def test_criterion_04_limiter_algebra():
             assert np.all(np.abs(st.fs_star) <= np.abs(st.fs) + 1e-15)
             two_d = 2.0 * ops.d_e
             mid = ((ops.conv_e + ops.reac_e) * (u[et.j] - u[et.i])
-                   - two_d * ctx.b_over_ac[et.i] + st.fs - st.fs_star)
+                   - two_d * ctx.bac_e + st.fs - st.fs_star)
             lo = two_d * (u[et.i] - st.bar_max[et.i])
             hi = two_d * (u[et.i] - st.bar_min[et.i])
             gap = max(float((lo - mid)[free].max()),

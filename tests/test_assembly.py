@@ -133,6 +133,17 @@ def test_edges_and_operators_match_csr_oracle(grid_id):
         base = refine(base)
 
 
+def test_operators_record_their_problem():
+    # the operators keep the problem object they were built from and
+    # whether every source sample of the assembly was nonnegative; only the
+    # boundary-layers forcing is negative somewhere
+    for name in sorted(PROBLEMS):
+        prob = PROBLEMS[name]()
+        ops = assemble(classified(prob, 2, 3), prob)
+        assert ops.problem is prob
+        assert ops.source_nonnegative is (name != "boundary-layers")
+
+
 @pytest.mark.parametrize("grid_id", [1, 2])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_assembly_bits_match_einsum_blocks(monkeypatch, name, grid_id):
@@ -146,6 +157,7 @@ def test_assembly_bits_match_einsum_blocks(monkeypatch, name, grid_id):
                   "reaction_lumped", "row_weight"):
         assert np.array_equal(getattr(ops, field).view(np.int64),
                               getattr(ref, field).view(np.int64)), field
+    assert ops.source_nonnegative is ref.source_nonnegative
 
 
 def test_row_residual_matches_dense():

@@ -249,6 +249,15 @@ def test_convergence_study_rejects_bad_levels(monkeypatch):
     for levels in ([True], [2.5], [1, 2.0], [np.int64(0), np.bool_(True)]):
         with pytest.raises(ValueError, match="integers"):
             convergence_study(p, 1, levels)
+    # options are checked before any mesh too: one changed after
+    # construction, and options that are no SolveOptions
+    opts = SolveOptions()
+    opts.tol = -1.0
+    with pytest.raises(ValueError, match="tol"):
+        convergence_study(p, 1, [0], opts)
+    for options in ({"tol": 1e-8}, "fast"):
+        with pytest.raises(TypeError, match=type(options).__name__):
+            convergence_study(p, 1, [0], options)
 
 
 def test_level_record_carries_its_solve():

@@ -6,8 +6,8 @@ import pytest
 from cdrfem import PROBLEMS, galerkin_residual
 from cdrfem.limiter import edge_state, mc_limit
 from cdrfem.solver import residual
-from cases import (classified, constant_problem, limiter_case, random_iterate,
-                   row_scale, unclipped)
+from cases import (classified, constant_problem, free_edges, limiter_case,
+                   random_iterate, row_scale, unclipped)
 from oracles import (_r_abs_p, balancing_flux, bar_state, einsum_grad_incr,
                      fictitious_value, limit_balancing, limiting_factor,
                      mc_target_flux, mirror_cell, net_source, wb_bar_state,
@@ -128,7 +128,7 @@ def test_limiting_factor_matches_flux_route():
     rng = np.random.default_rng(11)
     for prob, grid_id in itertools.product(all_benchmarks(), (1, 2)):
         mesh, ops, ctx = limiter_case(prob, grid_id, 2)
-        b, free = ops.b[mesh.edges.i], ctx.free_row
+        b, free = ops.b[mesh.edges.i], free_edges(ctx)
         for variant in ("full", "simplified"):
             st = edge_state(ctx, random_iterate(mesh, prob, rng),
                             variant=variant)
@@ -137,6 +137,10 @@ def test_limiting_factor_matches_flux_route():
             assert np.all(R[~free] == 1.0)
             rp = _r_abs_p(st.P, st.Qp, st.Qm, b, free)
             assert np.allclose(R * np.abs(st.P), rp, atol=1e-12)
+            # the production clip gives the bits of the oracle's R|P|
+            alphaP = np.minimum(rp, rp[mesh.edges.rev]) * np.sign(st.P)
+            assert np.array_equal(alphaP.view(np.int64),
+                                  st.alphaP.view(np.int64))
             assert np.allclose(st.alpha * np.abs(st.P), np.abs(st.alphaP),
                                atol=1e-12)
 
@@ -221,7 +225,8 @@ def test_antisymmetry_and_alpha():
         prob = PROBLEMS[name]()
         mesh, ops, ctx = limiter_case(prob, 2, 2)
         et = mesh.edges
-        both_free = ctx.free_row & ctx.free_row[et.rev]
+        free = free_edges(ctx)
+        both_free = free & free[et.rev]
         for _ in range(3):
             u = random_iterate(mesh, prob, rng)
             st = edge_state(ctx, u)
@@ -267,7 +272,7 @@ def test_shifted_bar_state_bounds(variant):
         for _ in range(4):
             u = random_iterate(mesh, prob, rng, spread=2.0)
             st = edge_state(ctx, u, variant=variant)
-            free = ctx.free_row
+            free = free_edges(ctx)
             lo = st.bar_min[st.ei[free]] - 1e-12
             hi = st.bar_max[st.ei[free]] + 1e-12
             val = st.ubar_s_star[free]
@@ -285,10 +290,10 @@ def test_flux_difference_bounds():
         for _ in range(3):
             u = random_iterate(mesh, prob, rng, spread=3.0)
             st = edge_state(ctx, u)
-            free = ctx.free_row
+            free = free_edges(ctx)
             two_d = 2.0 * ops.d_e
             mid = ((ops.conv_e + ops.reac_e) * (u[et.j] - u[et.i])
-                   - two_d * ctx.b_over_ac[et.i] + st.fs - st.fs_star)
+                   - two_d * ctx.bac_e + st.fs - st.fs_star)
             lo = two_d * (u[et.i] - st.bar_max[et.i]) - 1e-12
             hi = two_d * (u[et.i] - st.bar_min[et.i]) + 1e-12
             assert np.all(mid[free] >= lo[free])
@@ -299,7 +304,7 @@ def test_local_extremum_precondition():
     # bump interior nodes to local extrema and check the shifted bar states
     prob = PROBLEMS["interior-layers"]()
     mesh, ops, ctx = limiter_case(prob, 1, 3)
-    et = mesh.edges
+    et, free = mesh.edges, free_edges(ctx)
     rng = np.random.default_rng(41)
     for _ in range(5):
         u = random_iterate(mesh, prob, rng)
@@ -313,8 +318,8 @@ def test_local_extremum_precondition():
         umax = np.maximum(np.maximum.reduceat(u[et.j], et.indptr[:-1]), u)
         umin = np.minimum(np.minimum.reduceat(u[et.j], et.indptr[:-1]), u)
         b_e = ops.b[et.i]
-        at_max = ctx.free_row & (u[et.i] == umax[et.i]) & (b_e <= 0.0)
-        at_min = ctx.free_row & (u[et.i] == umin[et.i]) & (b_e >= 0.0)
+        at_max = free & (u[et.i] == umax[et.i]) & (b_e <= 0.0)
+        at_min = free & (u[et.i] == umin[et.i]) & (b_e >= 0.0)
         pair_hi = np.maximum(u[et.i], u[et.j])
         pair_lo = np.minimum(u[et.i], u[et.j])
         assert np.all(st.ubar_s[at_max] <= pair_hi[at_max] + 1e-13)
@@ -329,7 +334,7 @@ def test_q_sign_facts():
         u = random_iterate(mesh, prob, rng)
         st = edge_state(ctx, u)
         b_e = ops.b[st.ei]
-        free = ctx.free_row
+        free = free_edges(ctx)
         assert np.all(st.Qp[free & (b_e <= 0.0)] >= -1e-15)
         assert np.all(st.Qm[free & (b_e >= 0.0)] <= 1e-15)
 
@@ -365,7 +370,7 @@ def test_dirichlet_rows_carry_no_flux():
     rng = np.random.default_rng(47)
     u = random_iterate(mesh, prob, rng)
     st = edge_state(ctx, u)
-    assert np.all(st.fs_star[~ctx.free_row] == 0.0)
+    assert np.all(st.fs_star[~free_edges(ctx)] == 0.0)
 
 
 def test_edge_state_rejects_unknown_names():

@@ -185,7 +185,7 @@ def dense_correction(mesh, prob, ops):
     m = mesh.num_free
     L = low_order_matrix(mesh, prob)[:m, :m]
     colour = _GaussSeidel(ops).colour
-    ctx = LimiterContext(ops, prob)
+    ctx = LimiterContext(ops)
     return lambda u: block_gauss_seidel(
         L, colour, -residual(ops, edge_state(ctx, u), u))
 
@@ -284,10 +284,48 @@ def test_foreign_operators_rejected_before_limiter_context(monkeypatch):
 
 def test_audit_rejects_foreign_operators():
     mesh, prob, ops = foreign_operators_case()
-    rep = solve(ops.mesh, PROBLEMS["circular-layers"](),
-                SolveOptions(max_iter=0), ops=ops)
+    rep = solve(ops.mesh, ops.problem, SolveOptions(max_iter=0), ops=ops)
     with pytest.raises(ValueError, match="another mesh"):
         audit_dmp(rep, mesh, ops, prob)
+
+
+def test_operators_of_another_problem_rejected(monkeypatch):
+    # operators assembled for one problem object are refused, before any
+    # work, by a solve or an audit handed another one, even an equal copy
+    prob = PROBLEMS["interior-layers"]()
+    mesh = classified(prob, 1, 3)
+    ops = assemble(mesh, prob)
+    rep = solve(mesh, prob, SolveOptions(max_iter=0), ops=ops)
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("limiter context built before the operators "
+                             "were checked")
+
+    monkeypatch.setattr(cdrfem.solver, "LimiterContext", no_context)
+    for other in (PROBLEMS["equilibrium"](), PROBLEMS["interior-layers"]()):
+        with pytest.raises(ValueError, match="another problem"):
+            solve(mesh, other, SolveOptions(max_iter=5), ops=ops)
+        with pytest.raises(ValueError, match="another problem"):
+            audit_dmp(rep, mesh, ops, other)
+
+
+AUDIT_MISFITS = {"longer u": (208, 1e-10), "shorter u": (-3, 1e-10),
+                 "nan slack": (0, float("nan")),
+                 "inf slack": (0, float("inf")), "negative slack": (0, -1.0)}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_MISFITS))
+def test_audit_rejects_misfit_report_and_slack(case):
+    # a report of another mesh size (289 values on 81 nodes, or 3 short)
+    # and a slack that is not finite and nonnegative are refused
+    extra, slack = AUDIT_MISFITS[case]
+    prob = PROBLEMS["interior-layers"]()
+    mesh = classified(prob, 1, 3)
+    ops = assemble(mesh, prob)
+    rep = solve(mesh, prob, SolveOptions(max_iter=0), ops=ops)
+    rep.u = np.resize(rep.u, mesh.num_vertices + extra)
+    with pytest.raises(ValueError, match="report.u|slack"):
+        audit_dmp(rep, mesh, ops, prob, slack=slack)
 
 
 def test_solve_rejects_bad_names_and_unclassified_mesh():
@@ -300,6 +338,10 @@ def test_solve_rejects_bad_names_and_unclassified_mesh():
     raw = refined(1, 1)
     with pytest.raises(ValueError):
         solve(raw, prob)
+    # options that are no SolveOptions are refused before the mesh check
+    for options in ({"tol": 1e-8}, "fast"):
+        with pytest.raises(TypeError, match=type(options).__name__):
+            solve(raw, prob, options)
 
 
 INVALID_OPTIONS = [

@@ -12,7 +12,7 @@ import pytest
 
 from cdrfem import PROBLEMS
 from cdrfem.limiter import edge_state, mc_limit
-from cases import limiter_case, random_iterate
+from cases import free_edges, limiter_case, random_iterate
 from oracles import (bar_state, limit_balancing, limiting_factor,
                      mc_target_flux, wb_bar_state, wb_limit, wb_target_flux)
 
@@ -82,12 +82,12 @@ def test_sweep_matches_reference_helpers(name, grid_id):
     et = ctx.et
     b_e = ctx.ops.b[et.i]
     for seed in (3, 4):
-        u = random_iterate(ctx.mesh, ctx.problem, np.random.default_rng(seed))
+        u = random_iterate(ctx.mesh, ctx.ops.problem, np.random.default_rng(seed))
         for variant in ("full", "simplified"):
             st = edge_state(ctx, u, variant=variant)
             wflux, P, Qp, Qm = balanced_reference(ctx, u, variant)
             assert np.array_equal(st.wflux, wflux)
-            R = limiting_factor(P, Qp, Qm, b_e, ctx.free_row)
+            R = limiting_factor(P, Qp, Qm, b_e, free_edges(ctx))
             assert np.array_equal(st.alpha, np.minimum(R, R[et.rev]))
         for limiter in ("galerkin", "mc"):
             st = edge_state(ctx, u, limiter=limiter)

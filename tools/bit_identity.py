@@ -49,6 +49,7 @@ case differs.  The set takes about 10 s on a 2-vCPU machine.
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -129,13 +130,23 @@ def _classified(problem, grid, level):
     return classify_and_order(mesh, problem)
 
 
+def _context(ops, problem):
+    """The ``LimiterContext`` of ``ops`` in either tree: one whose
+    constructor takes the operators alone, or the problem as well."""
+    from cdrfem.limiter import LimiterContext
+
+    if len(inspect.signature(LimiterContext).parameters) == 1:
+        return LimiterContext(ops)
+    return LimiterContext(ops, problem)
+
+
 def _edge_state_bytes(problem, grid):
     """The bytes of the ``edge states`` case for one problem and grid."""
     from cdrfem import assemble
-    from cdrfem.limiter import LimiterContext, edge_state
+    from cdrfem.limiter import edge_state
 
     mesh = _classified(problem, grid, 3)
-    ctx = LimiterContext(assemble(mesh, problem), problem)
+    ctx = _context(assemble(mesh, problem), problem)
     rng = np.random.default_rng(grid)
     xd = mesh.vertices[mesh.num_free:]
     chunks = []
@@ -164,11 +175,10 @@ def _cell_rows(a, num_cells):
 def _setup_array_bytes(problem, grid):
     """The bytes of the ``set-up arrays`` case for one problem and grid."""
     from cdrfem import assemble
-    from cdrfem.limiter import LimiterContext
 
     mesh = _classified(problem, grid, 5)
     ops = assemble(mesh, problem)
-    vertex, weight = LimiterContext(ops, problem).grad_incr
+    vertex, weight = _context(ops, problem).grad_incr
     arrays = {"h": np.float64(mesh.h), "cell_areas": mesh.cell_areas,
               "cell_grads": _cell_rows(mesh.cell_grads, mesh.num_cells)}
     arrays.update((f"edges.{name}", value)
