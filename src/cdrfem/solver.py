@@ -10,18 +10,19 @@ whose weights are nonnegative on weakly acute meshes.  ``fixed_point_step``
 is this update: a single one is a convex combination of its inputs, so it
 keeps the bar-state bounds (criterion 9).  ``solve`` evaluates the row
 residuals r(u) of the same equations and decides when to stop; its
-correction is f = -P^-1 r(u), where P^-1 is one symmetric multicolour
-Gauss-Seidel sweep, started from zero, on the constant low-order M-matrix L
-of the free rows (``_GaussSeidel``; the "fixed_point_rhs" iteration of Jha
-& John, CAMWA 78, 2019).  The private mixer ``_Anderson`` turns each
-correction into the next iterate by type-II Anderson mixing (Walker & Ni,
-SINUM 49, 2011) over the last ``ANDERSON_DEPTH`` differences of iterates
-and corrections.  ``damping`` acts only on a step with an empty history (the
-first step and the step after each restart), u + beta f; a step that mixes
-a history is undamped, since a mixing parameter below 1 mostly slows a
-history that already extrapolates (Evans, Pollock, Rebholz & Xiao, SINUM 58,
-2020).  Dirichlet values are pinned throughout.  Convergence is declared on
-the Euclidean norm of the row residuals over the unknown rows.
+correction is f = -P^-1 r(u), P^-1 one forward Gauss-Seidel sweep from zero
+over the upwind levels of the constant low-order M-matrix L of the free rows
+(``_GaussSeidel``: the "fixed_point_rhs" iteration of Jha & John, CAMWA 78,
+2019, in the downwind order of Bey & Wittum, Appl. Numer. Math. 23, 1997).
+The private mixer ``_Anderson`` turns each correction into the next iterate
+by type-II Anderson mixing (Walker & Ni, SINUM 49, 2011) over the last
+``ANDERSON_DEPTH`` differences of iterates and corrections.  ``damping``
+acts only on a step with an empty history (the first step and the step
+after each restart), u + beta f; a step that mixes a history is undamped,
+since a mixing parameter below 1 mostly slows a history that already
+extrapolates (Evans, Pollock, Rebholz & Xiao, SINUM 58, 2020).  Dirichlet
+values are pinned throughout.  Convergence is declared on the Euclidean
+norm of the row residuals over the unknown rows.
 
 Neither a preconditioned step nor a mixed iterate is a convex combination,
 and nothing guarantees that it or a tail average of iterates keeps the
@@ -160,76 +161,75 @@ def _initial_iterate(mesh, problem, guess):
     return u
 
 
-def _greedy_colours(ptr, lower):
-    """Greedy colouring in node order: node k takes the smallest colour that
-    none of its lower neighbours ``lower[ptr[k]:ptr[k + 1]]`` holds."""
-    ptr, lower = ptr.tolist(), lower.tolist()
-    colour = []
-    for k in range(len(ptr) - 1):
-        taken = {colour[j] for j in lower[ptr[k]:ptr[k + 1]]}
-        c = 0
-        while c in taken:
-            c += 1
-        colour.append(c)
-    return np.array(colour, dtype=np.int32)
+def _upwind_levels(i, j, m):
+    """Kahn levels of m rows, row i[e] leaning on row j[e]: a row waits
+    until the rows it leans on are placed and goes one level above the
+    last.  If none is ready, the unplaced row of smallest index starts the
+    next level, so a cyclic flow gets a fixed order too."""
+    leaners = i[np.argsort(j, kind="stable")]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(j, minlength=m))))
+    wait = np.bincount(i, minlength=m)     # negative once placed
+    level = np.full(m, -1, dtype=np.int32)
+    k = 0
+    while ((ready := np.flatnonzero(wait == 0)).size
+           or (ready := np.flatnonzero(wait > 0)[:1]).size):
+        wait[ready] = -1
+        level[ready], k = k, k + 1
+        lo, hi = ptr[ready], ptr[ready + 1]
+        n = hi - lo
+        wait -= np.bincount(leaners[np.repeat(hi - n.cumsum(), n)
+                                    + np.arange(n.sum())], minlength=m)
+    return level
 
 
 class _GaussSeidel:
-    """One symmetric multicolour Gauss-Seidel sweep, started from zero, on
-    the low-order operator L of the free rows and free columns:
+    """One forward Gauss-Seidel sweep, started from zero, over the upwind
+    levels of the low-order operator L of the free rows and free columns:
 
         L_ii = a_i - sum_j (d_ij + conv_ij),
         L_ij = -(d_ij - conv_ij - diff_ij)  (j a free neighbour of i).
 
-    L_ii > 0 >= L_ij, and a row of L with its Dirichlet columns sums to the
-    lumped reaction.  The free nodes are coloured greedily, so no two
-    neighbours share a colour and each colour is updated at once; per colour
-    ``groups`` holds its rows, its free-column edges' columns, their row
-    position within the colour and L_ij, and the rows' L_ii.  ``passes``
-    runs the colours forward, then backward without the last one, whose
-    second update would change nothing.
-
-    A forward pass reads only the columns already updated, those of lower
-    colours.  The columns of higher colours still hold the zero start, and
-    their products, +0 or -0, change no bit of a sum that starts at +0.
-    Colour 0 reads no column; its empty sum is +0 all the same, which turns
-    a residual of -0 into +0."""
+    L_ii > 0 >= L_ij.  Row i leans on column j when conv_ij < conv_ji, that
+    is |L_ij| > |L_ji| (d and diff are symmetric); ``level`` puts each row
+    above the rows it leans on, so one sweep follows the flow.  Each level,
+    a slice of the rows in level order (``order``), is updated at once from
+    the columns of lower levels (``passes``); the others still hold the zero
+    start, and their products, +0 or -0, would change no bit of a sum from
+    +0, so ties (conv_ij == conv_ji) are not followed."""
 
     def __init__(self, ops):
-        self.m = m = ops.num_free
-        et = ops.mesh.edges
+        m, et = ops.num_free, ops.mesh.edges
         nf = int(et.indptr[m])
         i, j = et.i[:nf], et.j[:nf]
         d, conv, diff = ops.d_e[:nf], ops.conv_e[:nf], ops.diff_e[:nf]
         diag = ops.row_weight[:m] - np.add.reduceat(d + conv, et.indptr[:m])
-        lower = j < i
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(i[lower],
-                                                         minlength=m))))
-        self.colour = _greedy_colours(ptr, j[lower])
-        # the colour of each free-column edge's row, -1 on Dirichlet columns
-        edge_colour = np.where(j < m, self.colour[i], -1)
-        position = np.empty(m, dtype=np.int32)
-        self.groups, self.passes = [], []
-        for c in range(int(self.colour.max()) + 1):
-            rows = np.flatnonzero(self.colour == c).astype(np.int32)
-            position[rows] = np.arange(len(rows), dtype=np.int32)
-            e = np.flatnonzero(edge_colour == c)
-            group = (rows, j[e].astype(np.int32), position[i[e]],
-                     -(d[e] - conv[e] - diff[e]), diag[rows])
-            self.groups.append(group)
-            # the forward pass reads only the columns of lower colours
-            lower = self.colour[group[1]] < c
-            self.passes.append((rows, *(a[lower] for a in group[1:4]),
-                                group[4]))
-        self.passes += self.groups[-2::-1]
+        lean = (j < m) & (conv < ops.conv_e[et.rev[:nf]])
+        self.level = level = _upwind_levels(i[lean], j[lean], m)
+        self.order = np.argsort(level, kind="stable").astype(np.int32)
+        self.where = np.argsort(self.order).astype(np.int32)
+        # the edges into lower levels by permuted row, in edge-table order
+        e = np.flatnonzero(j < m)
+        e = e[level[j[e]] < level[i[e]]]
+        e = e[np.argsort(self.where[i[e]], kind="stable")]
+        rows, cols = self.where[i[e]], self.where[j[e]]
+        off = -(d[e] - conv[e] - diff[e])
+        # no zeroing: a level reads only the columns this sweep has written
+        rp, fp, neg_diag = np.empty(m), np.empty(m), -diag[self.order]
+        bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
+        edges = np.searchsorted(rows, bounds).tolist()
+        self.rp, self.fp, self.passes = rp, fp, [
+            (cols[a:b], rows[a:b] - lo, off[a:b], hi - lo, rp[lo:hi],
+             neg_diag[lo:hi], fp[lo:hi])
+            for lo, hi, a, b in zip(bounds, bounds[1:], edges, edges[1:])]
 
     def correction(self, r):
         """f = -P^-1 r: the sweep applied to L f = -r from f = 0."""
-        f = np.zeros(self.m)
-        for rows, cols, pos, off, diag in self.passes:
-            s = np.bincount(pos, off * f[cols], minlength=len(rows))
-            f[rows] = -(r[rows] + s) / diag
-        return f
+        fp = self.fp
+        np.take(r, self.order, out=self.rp)
+        for cols, pos, off, n, rv, neg_diag, fv in self.passes:
+            s = np.bincount(pos, off * fp.take(cols), minlength=n)
+            np.divide(rv + s, neg_diag, out=fv)
+        return fp.take(self.where)
 
 
 class _Anderson:
@@ -293,8 +293,8 @@ def solve(mesh, problem, options=None, ops=None):
     ends the history, the converged flag refers to it and ``check_bounds``
     covers it.  ``restarts`` is read off the mixer: how often a residual
     norm above ``ANDERSON_RESTART`` times its best cleared the history.
-    The colour groups of the correction are built at its first use, so a
-    solve that stops at sweep 0 builds none.
+    The levels of the correction are built at its first use, so a solve
+    that stops at sweep 0 builds none.
     """
     options = _validated(options)
     if mesh.num_free is None:

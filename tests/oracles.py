@@ -443,27 +443,34 @@ def low_order_matrix(mesh, problem):
     return L
 
 
-def block_gauss_seidel(A, colour, rhs):
-    """One symmetric block Gauss-Seidel sweep on A x = rhs from x = 0: the
-    blocks are the colour classes, solved densely in the order 0, 1, ...,
-    k, then k - 1, ..., 0."""
+def level_gauss_seidel(A, level, rhs):
+    """One forward Gauss-Seidel sweep on A x = rhs from x = 0 over the
+    levels 0, 1, ...: the rows of a level are updated together, each from
+    the columns of lower levels, x[own] = (rhs[own] - A[own, lower]
+    x[lower]) / diag(A)[own]."""
     x = np.zeros(len(rhs))
-    k = int(colour.max())
-    for c in [*range(k + 1), *range(k - 1, -1, -1)]:
-        own = colour == c
-        x[own] = np.linalg.solve(A[np.ix_(own, own)],
-                                 rhs[own] - A[np.ix_(own, ~own)] @ x[~own])
+    for k in range(int(level.max()) + 1):
+        own, lower = level == k, level < k
+        x[own] = ((rhs[own] - A[np.ix_(own, lower)] @ x[lower])
+                  / np.diag(A)[own])
     return x
 
 
-def untrimmed_correction(groups, r):
-    """``_GaussSeidel.correction`` as first written: every colour of both
-    passes gathers all its free columns from the colour ``groups``, the
-    zeros of the colours not yet updated included."""
-    f = np.zeros(len(r))
-    last = len(groups) - 1
-    for c in [*range(last + 1), *range(last - 1, -1, -1)]:
-        rows, cols, pos, off, diag = groups[c]
-        s = np.bincount(pos, off * f[cols], minlength=len(rows))
-        f[rows] = -(r[rows] + s) / diag
+def untrimmed_correction(ops, level, r):
+    """``_GaussSeidel.correction`` untrimmed, with its rows in node order:
+    the rows of each level gather all their free columns in edge-table
+    order, the zeros of the levels not yet updated included."""
+    m, et = ops.num_free, ops.mesh.edges
+    nf = int(et.indptr[m])
+    i, j = et.i[:nf], et.j[:nf]
+    diag = ops.row_weight[:m] - np.add.reduceat(
+        ops.d_e[:nf] + ops.conv_e[:nf], et.indptr[:m])
+    off = -(ops.d_e[:nf] - ops.conv_e[:nf] - ops.diff_e[:nf])
+    f = np.zeros(m)
+    for k in range(int(level.max()) + 1):
+        rows = np.flatnonzero(level == k)
+        e = np.flatnonzero((j < m) & (level[i] == k))
+        pos = np.searchsorted(rows, i[e])
+        s = np.bincount(pos, off[e] * f[j[e]], minlength=len(rows))
+        f[rows] = -(r[rows] + s) / diag[rows]
     return f

@@ -21,7 +21,7 @@ from oracles import galerkin_row_residual
 
 # iteration setup for the circular-convection ladder (criteria 8 and 10).
 # The damping acts only on steps without mixing history, and every level
-# converges outright (level 7 in about 2900 sweeps) before the tail window,
+# converges outright (level 7 in about 1300 sweeps) before the tail window,
 # the last 9216 of 16384 sweeps, opens.  The window was sized to span one
 # orbital period (~9000 sweeps) of the limit cycle that plain damped sweeps
 # fell into at level 7.
@@ -211,10 +211,11 @@ def test_criterion_07_plateau(interior_l5):
 def test_interior_layers_two_fixed_points(interior_l5):
     """interior-layers at grid 1, level 5 has two fixed points.
 
-    The default solve (damping 1) and the damping-0.5 solve of the
-    ``interior_l5`` fixture both converge; re-solved from their results to
-    a residual of 1e-12, they stay 1.84e-2 apart in the max norm, and both
-    pass every applicable ``audit_dmp`` check with max u 5.013532.
+    The default solve (damping 1, 292 sweeps) and the damping-0.5 solve of
+    the ``interior_l5`` fixture (539 sweeps) both converge; re-solved from
+    their results to a residual of 1e-12 (42 and 126 sweeps), they stay
+    1.84e-2 apart in the max norm, and both pass every applicable
+    ``audit_dmp`` check with max u 5.013532.
     Criteria 5-7 read the damping-0.5 fixed point: the fixture's solve lies
     within 1e-6 of it.
     """

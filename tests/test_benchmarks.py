@@ -288,14 +288,15 @@ def test_equilibrium_ramp_is_reproduced():
 
 
 def test_tail_average_takes_over_at_max_iter():
+    # the run would converge at sweep 27, so it stops at max_iter unconverged
     p = PROBLEMS["circular-convection"]()
     mesh = classified(p, 1, 3)
-    rep = solve(mesh, p, SolveOptions(damping=0.5, max_iter=30,
-                                      tail_average=30))
+    rep = solve(mesh, p, SolveOptions(damping=0.5, max_iter=20,
+                                      tail_average=20))
     assert not rep.converged
-    assert rep.iterations == 30
+    assert rep.iterations == 20
     # one residual per visited iterate plus one for the returned mean
-    assert len(rep.residual_history) == 32
+    assert len(rep.residual_history) == 22
     assert np.isfinite(rep.residual_history[-1])
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import cdrfem.solver
-from cdrfem import (PROBLEMS, SolveOptions, assemble, audit_dmp,
-                    classify_and_order, solve)
-from cdrfem.benchmarks import problem_equilibrium
+from cdrfem import (PROBLEMS, ProblemSpec, SolveOptions, assemble,
+                    audit_dmp, classify_and_order, solve)
+from cdrfem.benchmarks import _constant, problem_equilibrium
 from cdrfem.limiter import LimiterContext, edge_state
 from cdrfem.solver import (ANDERSON_RESTART, _Anderson, _GaussSeidel,
                            _initial_iterate, residual)
 from cases import classified, constant_problem, limiter_case, refined
-from oracles import (block_gauss_seidel, dense_operators, low_order_matrix,
+from oracles import (dense_operators, level_gauss_seidel, low_order_matrix,
                      row_residual, untrimmed_correction)
 
 
@@ -86,9 +86,10 @@ def test_tilted_ramp_reached_from_zero(vhat, grid_id):
 
 def test_ladder_options_sweep_count():
     # the criterion-8 ladder options on one cold level: guards the strength
-    # of the iteration, which takes 61 sweeps here (123 with the Jacobi
-    # correction, 621 with every Anderson step damped, and 3640 for plain
-    # damped Jacobi sweeps)
+    # of the iteration, which takes 40 sweeps here (61 with a symmetric
+    # multicolour Gauss-Seidel correction, 123 with the Jacobi correction,
+    # 621 with every Anderson step damped, and 3640 for plain damped Jacobi
+    # sweeps)
     prob = PROBLEMS["circular-convection"]()
     mesh = classified(prob, 1, 4)
     rep = solve(mesh, prob, SolveOptions(damping=0.0625, max_iter=16384,
@@ -99,8 +100,8 @@ def test_ladder_options_sweep_count():
 
 @pytest.mark.parametrize("grid_id", [1, 2])
 def test_equilibrium_sweep_count(grid_id):
-    # the Gauss-Seidel correction takes 51 / 63 sweeps here, the Jacobi
-    # correction -r/a 124 / 165
+    # the upwind Gauss-Seidel correction takes 35 / 34 sweeps here, a
+    # symmetric multicolour one 51 / 63, the Jacobi correction -r/a 124 / 165
     prob = PROBLEMS["equilibrium"]()
     mesh = classified(prob, grid_id, 4)
     rep = solve(mesh, prob)
@@ -122,12 +123,20 @@ def test_correction_matches_dense_gauss_seidel(grid_id):
     np.testing.assert_allclose(L[:m].sum(axis=1), ops.reaction_lumped[:m],
                                rtol=0.0, atol=1e-13 * np.abs(L).max())
 
+    # every row leaning on a column (|L_ij| > |L_ji|) sits above it, and
+    # rows that share a level are coupled only through ties, which the dense
+    # L decides to round-off
     gs = _GaussSeidel(ops)
-    for c in range(int(gs.colour.max()) + 1):
-        own = np.flatnonzero(gs.colour == c)
-        assert not np.any(off[np.ix_(own, own)])
+    level, A = gs.level, L[:m, :m]
+    gap = np.abs(A) - np.abs(A.T)
+    tie = np.abs(gap) <= 1e-13 * np.abs(A).max()
+    rows, cols = np.nonzero((gap > 0.0) & ~tie)
+    assert np.all(level[cols] < level[rows])
+    same = (level[:, None] == level[None, :]) & (A != 0.0)
+    np.fill_diagonal(same, False)
+    assert np.all(tie[same])
     r = np.random.default_rng(3).standard_normal(m)
-    want = block_gauss_seidel(L[:m, :m], gs.colour, -r)
+    want = level_gauss_seidel(A, level, -r)
     assert np.abs(gs.correction(r) - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -135,21 +144,61 @@ def test_correction_matches_dense_gauss_seidel(grid_id):
     ("circular-layers", 1, 4), ("circular-layers", 2, 4),
     ("equilibrium", 1, 4), ("equilibrium", 2, 4), ("interior-layers", 1, 1)])
 def test_correction_bits_match_untrimmed_sweep(name, grid_id, level):
-    # the forward colours skip the columns still at zero; that changes no
-    # bit of f, signed zeros of r included (circular-layers is reactive,
-    # equilibrium reaction-free; the single unknown of interior-layers at
-    # level 1 is one colour, whose forward update is the result)
+    # each level skips the columns still at zero; that changes no bit of f,
+    # signed zeros of r included (circular-layers is reactive, equilibrium
+    # reaction-free; the single unknown of interior-layers at level 1 is
+    # level 0, whose update is the result)
     prob = PROBLEMS[name]()
     mesh = classified(prob, grid_id, level)
-    gs = _GaussSeidel(assemble(mesh, prob))
+    ops = assemble(mesh, prob)
+    gs = _GaussSeidel(ops)
     rng = np.random.default_rng(11)
     r = rng.standard_normal(mesh.num_free)
     pick = rng.random(r.size)
     r[pick < 0.1] = 0.0
     r[pick > 0.9] = -0.0
     for rhs in (r, -r, np.zeros_like(r), np.full_like(r, -0.0)):
-        want = untrimmed_correction(gs.groups, rhs)
+        want = untrimmed_correction(ops, gs.level, rhs)
         assert gs.correction(rhs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_correction_levels_cut_closed_streamlines(grid_id):
+    # a flow rotating about the centre has closed streamlines, so the rows
+    # lean on each other in cycles: each cycle is cut at the unplaced row of
+    # smallest index, alone on its level, once no unplaced row is ready
+    prob = ProblemSpec(name="vortex", epsilon=1e-3,
+                       velocity=lambda x, y: (0.5 - y, x - 0.5),
+                       reaction=_constant(0.0), source=_constant(1.0),
+                       dirichlet=_constant(0.0))
+    mesh = classified(prob, grid_id, 3)
+    ops = assemble(mesh, prob)
+    m, et = mesh.num_free, mesh.edges
+    e = np.flatnonzero((et.i < m) & (et.j < m))
+    e = e[ops.conv_e[e] < ops.conv_e[et.rev[e]]]
+    lean = np.zeros((m, m), dtype=bool)
+    lean[et.i[e], et.j[e]] = True
+    gs = _GaussSeidel(ops)
+    level = gs.level
+    assert level.shape == (m,) and np.all(np.bincount(level) > 0)
+    assert np.array_equal(np.sort(gs.order), np.arange(m))
+    cuts = 0
+    for k in range(int(level.max()) + 1):
+        unplaced = level >= k
+        ready = np.flatnonzero(unplaced & ~np.any(lean[:, unplaced], axis=1))
+        if not ready.size:
+            cuts += 1
+            ready = np.flatnonzero(unplaced)[:1]
+        assert np.array_equal(np.flatnonzero(level == k), ready)
+    assert cuts > 0
+    again = _GaussSeidel(ops)
+    assert np.array_equal(again.level, level)
+    assert np.array_equal(again.order, gs.order)
+    r = np.random.default_rng(5).standard_normal(m)
+    want = level_gauss_seidel(low_order_matrix(mesh, prob)[:m, :m], level, -r)
+    assert np.abs(gs.correction(r) - want).max() <= 1e-13 * np.abs(want).max()
+    assert (gs.correction(r).tobytes()
+            == untrimmed_correction(ops, level, r).tobytes())
 
 
 def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
@@ -157,14 +206,14 @@ def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
     mesh = classified(prob, 1, 3)
 
     def no_groups(ops):
-        raise AssertionError("colour groups built")
+        raise AssertionError("preconditioner built")
 
     monkeypatch.setattr(cdrfem.solver, "_GaussSeidel", no_groups)
     x = mesh.vertices
     rep = solve(mesh, prob,
                 SolveOptions(initial_guess=prob.exact(x[:, 0], x[:, 1])))
     assert rep.converged and rep.iterations == 0
-    with pytest.raises(AssertionError, match="colour groups built"):
+    with pytest.raises(AssertionError, match="preconditioner built"):
         solve(mesh, prob, SolveOptions(max_iter=1))
 
 
@@ -180,14 +229,14 @@ def test_max_iter_reports_nonconvergence():
 
 def dense_correction(mesh, prob, ops):
     """u -> the correction f = -P^-1 r(u) of the unknowns, P^-1 the
-    symmetric block Gauss-Seidel sweep on the dense low-order matrix in the
-    production colour order."""
+    forward Gauss-Seidel sweep on the dense low-order matrix over the
+    production levels."""
     m = mesh.num_free
     L = low_order_matrix(mesh, prob)[:m, :m]
-    colour = _GaussSeidel(ops).colour
+    level = _GaussSeidel(ops).level
     ctx = LimiterContext(ops)
-    return lambda u: block_gauss_seidel(
-        L, colour, -residual(ops, edge_state(ctx, u), u))
+    return lambda u: level_gauss_seidel(
+        L, level, -residual(ops, edge_state(ctx, u), u))
 
 
 @pytest.mark.parametrize("damping", [1.0, 0.25])

@@ -27,7 +27,10 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   every problem on both grids at level 3;
 * ``Gauss-Seidel corrections``: the bytes of ``_GaussSeidel.correction(r)``
   for a residual with +0 and -0 entries, its negation, +0 and -0, on the
-  meshes of ``test_correction_bits_match_untrimmed_sweep``;
+  meshes of ``test_correction_bits_match_untrimmed_sweep``; against a
+  revision with another sweep (the symmetric multicolour sweep before the
+  upwind levels) this case, the solves, the CLI runs and the demos that
+  iterate differ by design;
 * ``set-up arrays``: the bytes, dtype and shape of ``h``, ``cell_areas``,
   ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
   classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
