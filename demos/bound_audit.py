@@ -13,22 +13,17 @@ boundary condition, so purely Dirichlet-based global bounds do not apply,
 while the local bounds do -- the audit keeps track of which is which.
 """
 
-from cdrfem import PROBLEMS, SolveOptions, assemble, audit_dmp, build_level0, classify_and_order, refine, solve
+from cdrfem import PROBLEMS, SolveOptions, audit_dmp, convergence_study
 
 problem = PROBLEMS["circular-layers"]()
 
-mesh = build_level0(1)
-for _ in range(4):
-    mesh = refine(mesh)
-mesh = classify_and_order(mesh, problem)
-ops = assemble(mesh, problem)
-
-report = solve(mesh, problem, SolveOptions(damping=0.5, max_iter=20000),
-               ops=ops)
+[record] = convergence_study(problem, 1, [4],
+                             SolveOptions(damping=0.5, max_iter=20000))
+ops, report = record.ops, record.report
 print(f"converged: {report.converged}, "
       f"range [{report.u.min():.3e}, {report.u.max():.6f}]\n")
 
-checks = audit_dmp(report, mesh, ops, problem, slack=1e-10)
+checks = audit_dmp(report, ops.mesh, ops, problem, slack=1e-10)
 print(f"{'check':<28} {'applicable':>10} {'violations':>10} {'worst':>10}")
 for c in checks:
     worst = "-" if not c.applicable else f"{c.max_violation:.2e}"

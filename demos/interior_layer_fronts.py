@@ -21,19 +21,16 @@ import sys
 
 import numpy as np
 
-from cdrfem import PROBLEMS, SolveOptions, build_level0, classify_and_order, refine, solve
+from cdrfem import PROBLEMS, SolveOptions, convergence_study
 from cdrfem.cli import write_vtk
 
 problem = PROBLEMS["interior-layers"]()
 
-mesh = build_level0(1)
-for _ in range(5):
-    mesh = refine(mesh)
-mesh = classify_and_order(mesh, problem)
-
 # damping 0.5 halves the first step from zero, which has no history to
 # mix; every Anderson step after it is undamped
-report = solve(mesh, problem, SolveOptions(damping=0.5, max_iter=20000))
+[record] = convergence_study(problem, 1, [5],
+                             SolveOptions(damping=0.5, max_iter=20000))
+mesh, report = record.ops.mesh, record.report
 
 print(f"grid: {mesh.num_vertices} nodes, h = {mesh.h:.4f}")
 print(f"converged: {report.converged} after {report.iterations} sweeps")

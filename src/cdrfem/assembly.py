@@ -60,7 +60,6 @@ class Operators:
                  reaction_lumped, art_row, row_weight, edge_arrays):
         self.mesh, self.problem = mesh, problem
         self.source_nonnegative = source_nonnegative
-        self.num_free = mesh.num_free
         self.b, self.reaction_lumped = b, reaction_lumped
         self.art_row, self.row_weight = art_row, row_weight
         self.diff_e, self.conv_e, self.reac_e, self.d_e = edge_arrays
@@ -181,4 +180,4 @@ def galerkin_residual(ops, u):
     coef = ops.diff_e + ops.conv_e + ops.reac_e
     flux = coef * (u[et.j] - u[et.i])
     res = ops.reaction_lumped * u + np.add.reduceat(flux, et.indptr[:-1]) - ops.b
-    return res[:ops.num_free]
+    return res[:ops.mesh.num_free]

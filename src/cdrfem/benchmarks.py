@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import Operators, assemble
-from .mesh import (BOTTOM, Mesh, _corners, _row_blocks, build_level0,
+from .mesh import (BOTTOM, _corners, _row_blocks, build_level0,
                    classify_and_order, prolong, refine)
 from .solver import SolveReport, _validated, solve
 
@@ -254,9 +254,10 @@ def eoc(err_coarse, err_fine):
 class ErrorRecord:
     """One row of a convergence table.
 
-    When the row comes from ``convergence_study``, ``mesh``, ``ops`` and
-    ``report`` hold the level's classified mesh, its assembled operators and
-    the ``SolveReport`` the row describes (``report.u`` in mesh ordering).
+    When the row comes from ``convergence_study``, ``ops`` and ``report``
+    hold the level's assembled operators, on its classified mesh
+    ``ops.mesh``, and the ``SolveReport`` the row describes (``report.u`` in
+    mesh ordering).
     """
     level: int
     ndof: int
@@ -267,7 +268,6 @@ class ErrorRecord:
     eoc_l2: Optional[float]
     iterations: int
     converged: bool
-    mesh: Optional[Mesh] = field(default=None, repr=False, compare=False)
     ops: Optional[Operators] = field(default=None, repr=False, compare=False)
     report: Optional[SolveReport] = field(default=None, repr=False,
                                           compare=False)
@@ -336,5 +336,5 @@ def convergence_study(problem, grid_id, levels, options=None, warm_start=False):
                                    eoc_l1=e1, eoc_l2=e2,
                                    iterations=report.iterations,
                                    converged=report.converged,
-                                   mesh=mesh, ops=ops, report=report))
+                                   ops=ops, report=report))
     return records

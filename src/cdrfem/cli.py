@@ -220,7 +220,7 @@ def run(argv=None):
             write_csv(records, os.path.join(args.outdir, "report.csv"))
             if args.emit_vtk:
                 finest = records[-1]
-                write_vtk(finest.mesh, finest.report.u,
+                write_vtk(finest.ops.mesh, finest.report.u,
                           os.path.join(args.outdir, "solution.vtk"))
             for r in records:
                 print(f"level {r.level}: ndof {r.ndof} iterations "
@@ -229,7 +229,7 @@ def run(argv=None):
 
         [record] = convergence_study(problem, args.grid, [args.level],
                                      options)
-        mesh, ops, report = record.mesh, record.ops, record.report
+        mesh, ops, report = record.ops.mesh, record.ops, record.report
 
         if args.command == "solve":
             write_csv([record], os.path.join(args.outdir, "report.csv"))

@@ -158,7 +158,7 @@ class LimiterContext:
         nf = self.num_free_edges
         terms = self.ops.diff_e[:nf] * uj[:nf]
         np.subtract(wflux[:nf], terms, out=terms)
-        return np.add.reduceat(terms, self.et.indptr[:self.ops.num_free])
+        return np.add.reduceat(terms, self.et.indptr[:self.mesh.num_free])
 
     @cached_property
     def f_node(self):

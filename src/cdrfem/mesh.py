@@ -46,27 +46,25 @@ class Mesh:
         Boundary edges oriented so the domain lies to the left.
     boundary_tags : (b,) int array
         Side tag (BOTTOM, RIGHT, TOP or LEFT) per boundary edge.
-    level : int
-        Refinement level, 0 for the coarse layouts.
     num_free : int or None
         Number of non-Dirichlet nodes; set by ``classify_and_order``.
     node_permutation : (n,) int array or None
         Maps current node index to the index before reordering.
 
     The constructor rejects non-finite vertices, cells not of shape (c, 3)
-    with c >= 1, cell and boundary vertex indices outside [0, n), boundary
-    edges not of shape (b, 2) and tags not of shape (b,).  It sets
-    ``cell_areas``, the (c,) signed cell areas, and ``h``, the largest edge
-    length.  Per-cell tables are rows of c values, one per local entry.
+    with c >= 1, cell and boundary vertex indices outside [0, n), a vertex
+    that is a corner of no cell, boundary edges not of shape (b, 2) and
+    tags not of shape (b,).  It sets ``cell_areas``, the (c,) signed cell
+    areas, and ``h``, the largest edge length.  Per-cell tables are rows of
+    c values, one per local entry.
     """
 
     def __init__(self, vertices, cells, boundary_edges, boundary_tags,
-                 level=0, num_free=None, node_permutation=None):
+                 num_free=None, node_permutation=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         self.boundary_tags = np.ascontiguousarray(boundary_tags, dtype=np.int64)
-        self.level = int(level)
         self.num_free = None if num_free is None else int(num_free)
         if node_permutation is None:
             node_permutation = np.arange(len(self.vertices))
@@ -78,6 +76,8 @@ class Mesh:
             raise ValueError("cells must have shape (c, 3) with c >= 1")
         if self.cells.min() < 0 or self.cells.max() >= n:
             raise ValueError(f"cell vertex indices must lie in [0, {n})")
+        if not np.bincount(self.cells.ravel(), minlength=n).all():
+            raise ValueError("every vertex must be a corner of a cell")
         be = self.boundary_edges
         if be.ndim != 2 or be.shape[1] != 2:
             raise ValueError("boundary_edges must have shape (b, 2)")
@@ -291,7 +291,7 @@ def build_level0(grid_id):
         tags = [BOTTOM, RIGHT, TOP, LEFT]
     else:
         raise ValueError(f"unknown grid_id {grid_id!r}; choose 1 or 2")
-    return Mesh(vertices, cells, boundary, tags, level=0)
+    return Mesh(vertices, cells, boundary, tags)
 
 
 def _edge_keys(mesh):
@@ -338,7 +338,7 @@ def refine(mesh):
     ])
     btags = np.concatenate([mesh.boundary_tags, mesh.boundary_tags])
 
-    return Mesh(vertices, children, bedges, btags, level=mesh.level + 1)
+    return Mesh(vertices, children, bedges, btags)
 
 
 def prolong(mesh, u):
@@ -388,7 +388,6 @@ def classify_and_order(mesh, problem):
     old_to_new[order] = np.arange(mesh.num_vertices)
 
     return Mesh(mesh.vertices[order], old_to_new[mesh.cells],
-                old_to_new[be], tags, level=mesh.level,
-                num_free=int(free.sum()),
+                old_to_new[be], tags, num_free=int(free.sum()),
                 node_permutation=mesh.node_permutation[order])
 

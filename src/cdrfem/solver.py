@@ -136,7 +136,7 @@ def _validated(options):
 
 def residual(ops, state, u):
     """Row residuals of the frozen-state system over the unknown rows."""
-    m = ops.num_free
+    m = ops.mesh.num_free
     return ops.row_weight[:m] * u[:m] - state.rowsum - state.rhs[:m]
 
 
@@ -144,7 +144,7 @@ def fixed_point_step(ops, state, u):
     """One undamped update of all unknowns; Dirichlet entries pass through.
     ``solve`` corrects by the residual instead; this is the update whose
     convex-combination property criterion 9 checks."""
-    m = ops.num_free
+    m = ops.mesh.num_free
     unew = u.copy()
     unew[:m] = (state.rowsum + state.rhs[:m]) / ops.row_weight[:m]
     return unew
@@ -198,7 +198,7 @@ class _GaussSeidel:
     +0, so ties (conv_ij == conv_ji) are not followed."""
 
     def __init__(self, ops):
-        m, et = ops.num_free, ops.mesh.edges
+        m, et = ops.mesh.num_free, ops.mesh.edges
         nf = int(et.indptr[m])
         i, j = et.i[:nf], et.j[:nf]
         d, conv, diff = ops.d_e[:nf], ops.conv_e[:nf], ops.diff_e[:nf]
@@ -297,8 +297,6 @@ def solve(mesh, problem, options=None, ops=None):
     that stops at sweep 0 builds none.
     """
     options = _validated(options)
-    if mesh.num_free is None:
-        raise ValueError("mesh must be classified before solving")
     if ops is not None and ops.mesh is not mesh:
         raise ValueError("ops were assembled on another mesh")
     if ops is not None and ops.problem is not problem:

@@ -54,7 +54,7 @@ def row_scale(ops, state, u):
     """Per unknown row, 1 plus the magnitudes of the terms the residual
     sums: the scale of its round-off."""
     et = ops.mesh.edges
-    m = ops.num_free
+    m = ops.mesh.num_free
     mags = np.add.reduceat(np.abs(state.wflux) + np.abs(ops.diff_e * u[et.j]),
                            et.indptr[:-1])
     return 1.0 + mags[:m] + np.abs(state.rhs[:m])

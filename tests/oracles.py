@@ -405,7 +405,7 @@ def wb_limit(fs, d_ij, ubar_s_ij, ubar_s_ji, bmin_i, bmax_i, bmin_j, bmax_j,
 
 def galerkin_row_residual(ops, u, i):
     """Galerkin residual of one unknown row (0-based, i < num_free)."""
-    if not 0 <= i < ops.num_free:
+    if not 0 <= i < ops.mesh.num_free:
         raise ValueError(f"row {i} is not an unknown row")
     et = ops.mesh.edges
     lo, hi = et.indptr[i], et.indptr[i + 1]
@@ -416,7 +416,7 @@ def galerkin_row_residual(ops, u, i):
 
 def row_residual(ops, state, u, i):
     """Single-row residual a_i u_i - sum_j (2 d_ij ubar*_ij - a_ij^D u_j) - rhs_i."""
-    if not 0 <= i < ops.num_free:
+    if not 0 <= i < ops.mesh.num_free:
         raise ValueError(f"row {i} is not an unknown row")
     et = ops.mesh.edges
     lo, hi = et.indptr[i], et.indptr[i + 1]
@@ -460,7 +460,7 @@ def untrimmed_correction(ops, level, r):
     """``_GaussSeidel.correction`` untrimmed, with its rows in node order:
     the rows of each level gather all their free columns in edge-table
     order, the zeros of the levels not yet updated included."""
-    m, et = ops.num_free, ops.mesh.edges
+    m, et = ops.mesh.num_free, ops.mesh.edges
     nf = int(et.indptr[m])
     i, j = et.i[:nf], et.j[:nf]
     diag = ops.row_weight[:m] - np.add.reduceat(

@@ -190,7 +190,7 @@ def test_row_residual_range():
     ops = assemble(classified(prob, 1, 1), prob)
     u = np.zeros(ops.mesh.num_vertices)
     with pytest.raises(ValueError):
-        galerkin_row_residual(ops, u, ops.num_free)
+        galerkin_row_residual(ops, u, ops.mesh.num_free)
 
 
 def test_source_vector():

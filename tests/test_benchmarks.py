@@ -63,6 +63,8 @@ def test_boundary_layers_values():
     # ProblemSpec itself rejects a non-finite diffusion coefficient
     with pytest.raises(ValueError, match="finite"):
         problem_equilibrium(epsilon=float("nan"))
+    with pytest.raises(ValueError, match="vhat must be nonzero"):
+        problem_equilibrium(vhat=(0.0, 0.0))
 
 
 def test_boundary_layers_source_against_finite_differences():
@@ -267,14 +269,14 @@ def test_level_record_carries_its_solve():
     opts = SolveOptions(damping=0.5)
     [rec] = convergence_study(p, 2, [3], opts)
     mesh = classified(p, 2, 3)
-    assert np.array_equal(rec.mesh.vertices, mesh.vertices)
+    assert np.array_equal(rec.ops.mesh.vertices, mesh.vertices)
     rep = solve(mesh, p, opts)
     assert rec.report.u.tobytes() == rep.u.tobytes()
     assert (rec.report.residual_history.tobytes()
             == rep.residual_history.tobytes())
     assert rec.iterations == rep.iterations
     assert rec.converged == rep.converged
-    assert (audit_dmp(rec.report, rec.mesh, rec.ops, p)
+    assert (audit_dmp(rec.report, rec.ops.mesh, rec.ops, p)
             == audit_dmp(rep, mesh, assemble(mesh, p), p))
 
 

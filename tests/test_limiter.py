@@ -242,6 +242,9 @@ def test_antisymmetry_and_alpha():
             mc = edge_state(ctx, u, limiter="mc")
             assert np.max(np.abs(mc.ftarget + mc.ftarget[et.rev])) <= scale
             assert np.all(np.abs(mc.fstar) <= np.abs(mc.ftarget) + 1e-15)
+            # the balanced diagnostics exist only for the balanced limiter
+            for other in (mc, edge_state(ctx, u, limiter="galerkin")):
+                assert other.alpha is None and other.ubar_s_star is None
 
 
 def test_local_bounds_definition():

@@ -29,8 +29,7 @@ def jittered(grid_id, level):
     rng = np.random.default_rng(grid_id)
     x[interior] += (rng.uniform(-0.2, 0.2, (interior.sum(), 2))
                     * mesh.h / np.sqrt(2))
-    return Mesh(x, mesh.cells, mesh.boundary_edges, mesh.boundary_tags,
-                level=level)
+    return Mesh(x, mesh.cells, mesh.boundary_edges, mesh.boundary_tags)
 
 
 def irrational(grid_id, level):
@@ -41,7 +40,7 @@ def irrational(grid_id, level):
                   [np.e / 9.0, np.sqrt(3.0) / 2.0]])
     shift = np.array([np.sqrt(5.0), 1.0 / np.pi])
     return Mesh(mesh.vertices @ a.T + shift, mesh.cells, mesh.boundary_edges,
-                mesh.boundary_tags, level=level)
+                mesh.boundary_tags)
 
 
 def undirected_edges(mesh):
@@ -109,7 +108,6 @@ def test_level0_bad_grid():
 
 def test_refine_counts_grid1():
     mesh = refine(build_level0(1))
-    assert mesh.level == 1
     assert mesh.num_cells == 8
     assert mesh.num_vertices == 9
 
@@ -220,6 +218,24 @@ def test_mesh_rejects_boundary_index_out_of_range(edges):
         Mesh(SQUARE, SQUARE_CELLS, edges, SQUARE_TAGS)
 
 
+@pytest.mark.parametrize("cells", [[(0, 2, 1), (0, 2, 3)],
+                                   [(0, 1, 2), (0, 2, 3), (0, 2, 2)]],
+                         ids=["clockwise", "zero area"])
+def test_mesh_rejects_clockwise_and_flat_cells(cells):
+    with pytest.raises(ValueError, match="counterclockwise with positive"):
+        Mesh(SQUARE, cells, [(0, 1), (1, 2), (2, 3), (3, 0)], SQUARE_TAGS)
+
+
+@pytest.mark.parametrize("base", [build_level0(1), refined(1, 2)],
+                         ids=["square", "g1 L2"])
+def test_mesh_rejects_vertex_of_no_cell(base):
+    # an unused vertex became a free node without edges: assembly gave it
+    # a neighbour's artificial diffusion and solve raised IndexError
+    vertices = np.vstack([base.vertices, [(0.5, 0.501)]])
+    with pytest.raises(ValueError, match="corner of a cell"):
+        Mesh(vertices, base.cells, base.boundary_edges, base.boundary_tags)
+
+
 @pytest.mark.parametrize("tags", [SQUARE_TAGS[:3], SQUARE_TAGS + [BOTTOM],
                                   [SQUARE_TAGS]])
 def test_mesh_rejects_boundary_tags_of_wrong_shape(tags):
@@ -319,6 +335,13 @@ def test_classify_requires_dirichlet():
         classify_and_order(refined(1, 1), prob)
 
 
+def test_classify_rejects_unknown_boundary_rule():
+    prob = problem_circular_layers()
+    prob.boundary = "outflow"
+    with pytest.raises(ValueError, match="unknown boundary rule 'outflow'"):
+        classify_and_order(refined(1, 1), prob)
+
+
 def test_classify_permutation():
     base = refined(2, 2)
     mesh = classify_and_order(base, problem_interior_layers())
@@ -368,7 +391,7 @@ def test_mirror_cells_match_reference():
         for k in range(len(et.i)):
             i, j = int(et.i[k]), int(et.j[k])
             want = mirror_cell_reference(mesh, i, j, cells[ptr[i]:ptr[i + 1]])
-            assert got[k] == want, (mesh.level, i, j)
+            assert got[k] == want, (mesh.num_vertices, i, j)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

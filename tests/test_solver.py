@@ -86,10 +86,8 @@ def test_tilted_ramp_reached_from_zero(vhat, grid_id):
 
 def test_ladder_options_sweep_count():
     # the criterion-8 ladder options on one cold level: guards the strength
-    # of the iteration, which takes 40 sweeps here (61 with a symmetric
-    # multicolour Gauss-Seidel correction, 123 with the Jacobi correction,
-    # 621 with every Anderson step damped, and 3640 for plain damped Jacobi
-    # sweeps)
+    # of the iteration, which takes 40 sweeps here (621 with every Anderson
+    # step damped, and 3640 for plain damped Jacobi sweeps)
     prob = PROBLEMS["circular-convection"]()
     mesh = classified(prob, 1, 4)
     rep = solve(mesh, prob, SolveOptions(damping=0.0625, max_iter=16384,
@@ -100,8 +98,7 @@ def test_ladder_options_sweep_count():
 
 @pytest.mark.parametrize("grid_id", [1, 2])
 def test_equilibrium_sweep_count(grid_id):
-    # the upwind Gauss-Seidel correction takes 35 / 34 sweeps here, a
-    # symmetric multicolour one 51 / 63, the Jacobi correction -r/a 124 / 165
+    # the upwind Gauss-Seidel correction takes 35 / 34 sweeps here
     prob = PROBLEMS["equilibrium"]()
     mesh = classified(prob, grid_id, 4)
     rep = solve(mesh, prob)
@@ -201,14 +198,14 @@ def test_correction_levels_cut_closed_streamlines(grid_id):
             == untrimmed_correction(ops, level, r).tobytes())
 
 
-def test_zero_sweep_solve_builds_no_colour_groups(monkeypatch):
+def test_zero_sweep_solve_builds_no_preconditioner(monkeypatch):
     prob = PROBLEMS["equilibrium"]()
     mesh = classified(prob, 1, 3)
 
-    def no_groups(ops):
+    def no_preconditioner(ops):
         raise AssertionError("preconditioner built")
 
-    monkeypatch.setattr(cdrfem.solver, "_GaussSeidel", no_groups)
+    monkeypatch.setattr(cdrfem.solver, "_GaussSeidel", no_preconditioner)
     x = mesh.vertices
     rep = solve(mesh, prob,
                 SolveOptions(initial_guess=prob.exact(x[:, 0], x[:, 1])))

@@ -19,8 +19,10 @@ processes off ``RUSAGE_CHILDREN``.
 It writes ``BENCH_<NAME>.json`` at the root of the repository with, per
 workload and end-to-end metric of ``BENCHMARK.json``, both sides' values,
 medians and quartiles, the number of pairs the working tree won, the
-relative change of the median, and the metric's bound; plus the machine,
-the library versions, the commit ids of both sides and the paths they ran
+relative change of the median, and the metric's bound; the same for
+``minflt_per_round``, a run's ``ru_minflt`` over its rounds, since a faster
+side fits more rounds into a run of fixed length; plus the machine, the
+library versions, the commit ids of both sides and the paths they ran
 from.  A run takes about
 25 s per workload and side with ``--seconds 20``.
 """
@@ -87,15 +89,23 @@ def _spread(values):
             "values": values}
 
 
+def _value(run, name):
+    """Metric ``name`` of one run; the minor faults per round are derived
+    from the whole run's count."""
+    if name == "minflt_per_round":
+        return run["ru_minflt"] / run["rounds"]
+    return run[name]
+
+
 def summarise(runs, end_to_end):
     """Per metric: both sides' spreads, pairs won by the working tree and
     the relative change of the median."""
     out = {}
-    for metric in end_to_end + [{"name": "ru_minflt", "better": "lower",
-                                 "bound": None}]:
+    for metric in end_to_end + [{"name": "minflt_per_round",
+                                 "better": "lower", "bound": None}]:
         name = metric["name"]
-        base = [r["base"][name] for r in runs]
-        tree = [r["tree"][name] for r in runs]
+        base = [_value(r["base"], name) for r in runs]
+        tree = [_value(r["tree"], name) for r in runs]
         sign = 1.0 if metric["better"] == "lower" else -1.0
         a, b = _spread(base), _spread(tree)
         out[name] = {

@@ -28,16 +28,12 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
 * ``Gauss-Seidel corrections``: the bytes of ``_GaussSeidel.correction(r)``
   for a residual with +0 and -0 entries, its negation, +0 and -0, on the
   meshes of ``test_correction_bits_match_untrimmed_sweep``; against a
-  revision with another sweep (the symmetric multicolour sweep before the
-  upwind levels) this case, the solves, the CLI runs and the demos that
-  iterate differ by design;
+  revision with another sweep this case, the solves, the CLI runs and the
+  demos that iterate differ by design;
 * ``set-up arrays``: the bytes, dtype and shape of ``h``, ``cell_areas``,
   ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
   classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
   array of its ``Operators``, for every problem on both grids at level 5;
-  ``cell_grads`` and ``cell_edges`` are written in the row layout (3, 2, c)
-  and (6, c), so that a tree storing them cell-major, as (c, 3, 2) and
-  (c, 6), compares value for value;
 * ``output path``: the bytes ``cli.write_vtk`` writes, the ``.hex()`` of
   both ``error_norms`` and the rows of ``audit_dmp`` (its floats as
   ``.hex()``), for the zero-sweep solve from the exact ramp at grid 2,
@@ -46,13 +42,15 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   with some entries +0 and -0.
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
-case differs.  The set takes about 10 s on a 2-vCPU machine.
+case differs.  ``REV`` must be commit d6fa896 or later, which builds
+``LimiterContext(ops)`` from the operators alone, stores ``cell_grads`` and
+``cell_edges`` in the row layout (3, 2, c) and (6, c), and reports
+``SolveReport.restarts``.  The set takes about 10 s on a 2-vCPU machine.
 """
 
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import io
 import json
 import os
@@ -133,23 +131,13 @@ def _classified(problem, grid, level):
     return classify_and_order(mesh, problem)
 
 
-def _context(ops, problem):
-    """The ``LimiterContext`` of ``ops`` in either tree: one whose
-    constructor takes the operators alone, or the problem as well."""
-    from cdrfem.limiter import LimiterContext
-
-    if len(inspect.signature(LimiterContext).parameters) == 1:
-        return LimiterContext(ops)
-    return LimiterContext(ops, problem)
-
-
 def _edge_state_bytes(problem, grid):
     """The bytes of the ``edge states`` case for one problem and grid."""
     from cdrfem import assemble
-    from cdrfem.limiter import edge_state
+    from cdrfem.limiter import LimiterContext, edge_state
 
     mesh = _classified(problem, grid, 3)
-    ctx = _context(assemble(mesh, problem), problem)
+    ctx = LimiterContext(assemble(mesh, problem))
     rng = np.random.default_rng(grid)
     xd = mesh.vertices[mesh.num_free:]
     chunks = []
@@ -169,25 +157,18 @@ def _edge_state_bytes(problem, grid):
     return b"".join(chunks)
 
 
-def _cell_rows(a, num_cells):
-    """A per-cell array in the row layout (..., c): a cell-major (c, ...)
-    array comes back with its cell axis moved last."""
-    return a if a.shape[-1] == num_cells else np.moveaxis(a, 0, -1)
-
-
 def _setup_array_bytes(problem, grid):
     """The bytes of the ``set-up arrays`` case for one problem and grid."""
     from cdrfem import assemble
+    from cdrfem.limiter import LimiterContext
 
     mesh = _classified(problem, grid, 5)
     ops = assemble(mesh, problem)
-    vertex, weight = _context(ops, problem).grad_incr
+    vertex, weight = LimiterContext(ops).grad_incr
     arrays = {"h": np.float64(mesh.h), "cell_areas": mesh.cell_areas,
-              "cell_grads": _cell_rows(mesh.cell_grads, mesh.num_cells)}
+              "cell_grads": mesh.cell_grads}
     arrays.update((f"edges.{name}", value)
                   for name, value in mesh.edges._asdict().items())
-    arrays["edges.cell_edges"] = _cell_rows(mesh.edges.cell_edges,
-                                            mesh.num_cells)
     arrays.update({"mirror_cells": mesh.mirror_cells,
                    "grad_incr vertex": vertex, "grad_incr weight": weight})
     arrays.update((f"ops.{name}", value) for name, value in vars(ops).items()
@@ -257,7 +238,7 @@ def collect(tree, out):
             rep.residual_history.tobytes())
         scalars = {"iterations": rep.iterations,
                    "converged": bool(rep.converged),
-                   "restarts": int(getattr(rep, "restarts", -1)),
+                   "restarts": rep.restarts,
                    "bound_check": rep.bound_check}
         (path / "scalars.json").write_text(json.dumps(scalars, indent=1))
 
