@@ -42,6 +42,15 @@ The pass over the edges relies on these invariants:
   f - c u is f at every iterate, so P, sign(P) and the sink mask of the
   balancing limiter are built once per context, as read-only arrays that
   every state shares (``LimiterContext.fixed_balancing``).
+* A ``SweepWorkspace`` holds the buffers of the balanced sweeps of one
+  solve.  Its seven edge buffers are shared by the named intermediates as
+  ``_EDGE_BUFFERS`` lists them: a name takes its buffer only after the name
+  before it there was last read, or is computed from that name in place,
+  element by element.  Gathers never write into their source.  Without a
+  workspace every name gets a new array, so both policies run the same
+  arithmetic and give the same bits.  A workspace state keeps ``rowsum``,
+  ``rhs`` and views of ``ubar_s``, ``fs_star``, ``bar_min`` and
+  ``bar_max``, valid until the next call with that workspace.
 """
 
 from dataclasses import dataclass, field
@@ -64,7 +73,7 @@ def mc_limit(f, d_ij, ubar_ij, ubar_ji, umin_i, umax_i, umin_j, umax_j):
     return np.where(f > 0.0, pos, np.where(f < 0.0, neg, 0.0))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EdgeState:
     """All per-sweep edge quantities of one limiter evaluation.
 
@@ -75,14 +84,17 @@ class EdgeState:
     ``rowsum`` the sums over j of wflux_ij - a_ij^D u_j, per unknown row.
     The balanced limiter's diagnostics ``alpha`` and ``ubar_s_star`` feed
     no iterate; they are computed on first read.  ``alpha`` is the factor
-    the state applied, ``alphaP / P``.
+    the state applied, ``alphaP / P``.  A state evaluated into a
+    ``SweepWorkspace`` holds only ``rowsum``, ``rhs`` and views of
+    ``ubar_s``, ``fs_star``, ``bar_min`` and ``bar_max``; its other fields,
+    and with them both diagnostics, are None.
     """
 
-    ei: np.ndarray
-    ej: np.ndarray
-    ubar: np.ndarray
-    wflux: np.ndarray
-    rhs: np.ndarray
+    ei: Optional[np.ndarray] = None
+    ej: Optional[np.ndarray] = None
+    ubar: Optional[np.ndarray] = None
+    wflux: Optional[np.ndarray] = None
+    rhs: np.ndarray                            # per node
     rowsum: np.ndarray                         # per unknown row
     ftarget: Optional[np.ndarray] = None
     fstar: Optional[np.ndarray] = None
@@ -113,7 +125,7 @@ class EdgeState:
     @cached_property
     def ubar_s_star(self):
         """Limited shifted bar states of the balanced limiter."""
-        if self.fs_star is None:
+        if self.ctx is None:
             return None
         return self.ubar_s + self.fs_star / self.ctx.two_d
 
@@ -148,15 +160,19 @@ class LimiterContext:
         self.zero_rhs = np.zeros(mesh.num_vertices)
         self.zero_rhs.flags.writeable = False
 
-    def row_bounds(self, values):
-        """Per-node minimum and maximum of an edge array over each row."""
-        table = values[self.row_table]
-        return np.min(table, axis=0), np.max(table, axis=0)
+    def row_bounds(self, values, table=None, lo=None, hi=None):
+        """Per-node minimum and maximum of an edge array over each row,
+        written into ``lo`` and ``hi`` if given; ``table`` takes the
+        gathered rows."""
+        table = np.take(values, self.row_table, out=table, mode="wrap")
+        return np.min(table, axis=0, out=lo), np.max(table, axis=0, out=hi)
 
-    def row_sums(self, wflux, uj):
-        """Sums over j of wflux_ij - a_ij^D u_j, per unknown row."""
+    def row_sums(self, wflux, uj, terms=None):
+        """Sums over j of wflux_ij - a_ij^D u_j, per unknown row; the
+        per-edge terms go into the prefix of ``terms`` if given."""
         nf = self.num_free_edges
-        terms = self.ops.diff_e[:nf] * uj[:nf]
+        terms = np.multiply(self.ops.diff_e[:nf], uj[:nf],
+                            out=None if terms is None else terms[:nf])
         np.subtract(wflux[:nf], terms, out=terms)
         return np.add.reduceat(terms, self.et.indptr[:self.mesh.num_free])
 
@@ -186,18 +202,19 @@ class LimiterContext:
                 + (ys[i] - ys[j]) * (vy[i] + vy[j]))
         return proj / (2.0 * m2)
 
-    def balancing_flux(self, s):
-        """P_ij = (s_i + s_j) / 4 * geom_ij of the nodal net source s."""
-        P = np.repeat(s, self.degree)
-        P += s[self.et.j]
+    def balancing_flux(self, s, out=None, scratch=None):
+        """P_ij = (s_i + s_j) / 4 * geom_ij of the nodal net source s,
+        written into ``out`` if given; ``scratch`` takes s_j."""
+        P = np.take(s, self.et.i, out=out, mode="wrap")
+        P += np.take(s, self.et.j, out=scratch, mode="wrap")
         P *= 0.25
         P *= self.geom_e
         return P
 
-    def sink(self, P):
+    def sink(self, P, out=None):
         """The free edges whose limited balancing flux is capped by Q+:
         b_i < 0, or b_i = 0 and P_ij >= 0."""
-        sink = P[:self.num_free_edges] >= 0.0
+        sink = np.greater_equal(P[:self.num_free_edges], 0.0, out=out)
         sink &= self.b_zero
         sink |= self.b_neg
         return sink
@@ -235,70 +252,154 @@ class LimiterContext:
                 weight[k] += mesh.cell_grads[k, d][kcell] * dx
         return vertex, weight
 
-    def fictitious_increment(self, u):
+    def fictitious_increment(self, u, out=None, scratch=None):
         """Mirror-cell gradient increments u^i_j - u_i of the iterate u,
-        the three products summed in vertex order."""
+        the three products summed in vertex order, written into ``out`` if
+        given; ``scratch`` takes the gathered values."""
         vertex, weight = self.grad_incr
-        out = weight[0] * u[vertex[0]]
-        out += weight[1] * u[vertex[1]]
-        out += weight[2] * u[vertex[2]]
+        out = np.multiply(weight[0],
+                          np.take(u, vertex[0], out=scratch, mode="wrap"),
+                          out=out)
+        for k in (1, 2):
+            term = np.take(u, vertex[k], out=scratch, mode="wrap")
+            term *= weight[k]
+            out += term
         return out
 
 
-def edge_state(ctx, u, limiter="wmc", variant="full"):
+# The liveness table of the balanced sweep: one row per edge buffer of a
+# ``SweepWorkspace``, the intermediates that take it in the order the sweep
+# writes them.  Qm (from ui), sgn (from P), fs (from du), ubar_s (from
+# ubar), terms (from uj) and fs_star (from floor) are computed in place;
+# ubar_s and fs_star outlive the call.  "gather" holds the mirror-cell
+# values of the fictitious increment, "source_j" s_j of the reactive
+# balancing flux.
+_EDGE_BUFFERS = (
+    ("fict", "P", "sgn", "hi", "wflux"),
+    ("gather", "ui", "Qm", "reac_du", "lo"),
+    ("uj", "terms"),
+    ("du", "fs"),
+    ("ubar", "ubar_s"),
+    ("conv_du", "Qp", "alphaP", "cap"),
+    ("source_j", "rp", "floor", "fs_star"),
+)
+
+
+def _slot_array(ctx, name):
+    """A new, uninitialised array of the shape and type of slot ``name``:
+    the row-bounds table, a per-node array, the sink mask of the free edges
+    or an edge array."""
+    if name == "table":
+        return np.empty(ctx.row_table.shape)
+    if name in ("bar_min", "bar_max", "source"):
+        return np.empty(ctx.mesh.num_vertices)
+    if name == "sink":
+        return np.empty(ctx.num_free_edges, dtype=bool)
+    return np.empty(ctx.et.i.size)
+
+
+class _Fresh:
+    """The buffer policy of a call without a workspace: every slot is a new
+    array."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __getitem__(self, name):
+        return _slot_array(self.ctx, name)
+
+
+class SweepWorkspace:
+    """The buffers that the balanced sweeps of one solve write into: the
+    seven edge buffers of ``_EDGE_BUFFERS``, the row-bounds table, the bar
+    state bounds and, where the balancing flux follows the iterate, the net
+    source and the sink mask.  Building it first builds the mirror-cell
+    increments (``variant`` "full") and the fixed balancing flux, so the
+    sweeps' buffers follow the context's arrays."""
+
+    def __init__(self, ctx, variant="full"):
+        if variant == "full":
+            ctx.grad_incr
+        names = ["table", "bar_min", "bar_max"]
+        if ctx.fixed_balancing is None:
+            names += ["source", "sink"]
+        self.ctx = ctx
+        self.slots = {name: _slot_array(ctx, name) for name in names}
+        for row in _EDGE_BUFFERS:
+            self.slots.update(dict.fromkeys(row, _slot_array(ctx, row[0])))
+
+    def __getitem__(self, name):
+        return self.slots[name]
+
+
+def _bar_prefix(ctx, u, slot):
+    """u_i, u_j, u_i - u_j and the bar state, the steps all limiters
+    share."""
+    ops, et = ctx.ops, ctx.et
+    ui = np.take(u, et.i, out=slot["ui"], mode="wrap")
+    uj = np.take(u, et.j, out=slot["uj"], mode="wrap")
+    du = np.subtract(ui, uj, out=slot["du"])
+    # bar_state(ui, uj, conv, d), with conv*(uj - ui) = -conv*(ui - uj)
+    ubar = np.add(ui, uj, out=slot["ubar"])
+    ubar *= 0.5
+    tmp = np.multiply(ops.conv_e, du, out=slot["conv_du"])
+    tmp /= ctx.two_d
+    ubar += tmp
+    return ui, uj, du, ubar
+
+
+def edge_state(ctx, u, limiter="wmc", variant="full", *, workspace=None):
     """Evaluate one limiter sweep at the iterate u; ``variant`` applies to
-    ``wmc`` only."""
+    ``wmc`` only.  With a ``SweepWorkspace`` of ``ctx`` (``wmc`` only) the
+    sweep allocates no edge array, and the state holds ``rowsum``, ``rhs``
+    and views of ``ubar_s``, ``fs_star``, ``bar_min`` and ``bar_max`` that
+    stay valid until the next call with that workspace."""
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}")
     balanced = limiter == "wmc"
     if balanced and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if workspace is not None and not (balanced and workspace.ctx is ctx):
+        raise ValueError("a workspace serves the balanced sweeps of the "
+                         "context it was built for")
+    if balanced:
+        return _balanced_state(ctx, u, variant, workspace or _Fresh(ctx))
 
-    # the first access of grad_incr builds the mirror cells, before any
-    # per-edge temporary of this sweep exists
-    fict = (ctx.fictitious_increment(u) if balanced and variant == "full"
-            else None)
+    ops, et = ctx.ops, ctx.et
+    _, uj, du, ubar = _bar_prefix(ctx, u, _Fresh(ctx))
+    # mc_target_flux, then for mc the clip against the local bounds
+    f = ops.d_e + ops.reac_e
+    f *= du
+    fstar = umin = umax = None
+    if limiter == "mc":
+        umin, umax = ctx.row_bounds(uj)
+        np.minimum(umin, u, out=umin)
+        np.maximum(umax, u, out=umax)
+        fstar = mc_limit(f, ops.d_e, ubar, ubar[et.rev], umin[et.i],
+                         umax[et.i], umin[et.j], umax[et.j])
+    wflux = ctx.two_d * ubar
+    wflux += f if fstar is None else fstar
+    return EdgeState(ei=et.i, ej=et.j, ubar=ubar, ftarget=f, fstar=fstar,
+                     umin=umin, umax=umax, wflux=wflux, rhs=ops.b,
+                     rowsum=ctx.row_sums(wflux, uj))
+
+
+def _balanced_state(ctx, u, variant, slot):
+    """The balanced sweep, each named intermediate written into
+    ``slot[name]``: a new array each, or a buffer of a workspace."""
+    fict = (ctx.fictitious_increment(u, out=slot["fict"],
+                                     scratch=slot["gather"])
+            if variant == "full" else None)
     ops, et = ctx.ops, ctx.et
     nf, two_d = ctx.num_free_edges, ctx.two_d
-    ui, uj = np.repeat(u, ctx.degree), u[et.j]
-    du = ui - uj
-    # bar_state(ui, uj, conv, d), with conv*(uj - ui) = -conv*(ui - uj)
-    ubar = ui + uj
-    ubar *= 0.5
-    tmp = ops.conv_e * du
-    tmp /= two_d
-    ubar += tmp
-
-    if not balanced:
-        # mc_target_flux, then for mc the clip against the local bounds
-        f = ops.d_e + ops.reac_e
-        f *= du
-        fstar = umin = umax = None
-        if limiter == "mc":
-            umin, umax = ctx.row_bounds(uj)
-            np.minimum(umin, u, out=umin)
-            np.maximum(umax, u, out=umax)
-            fstar = mc_limit(f, ops.d_e, ubar, ubar[et.rev], umin[et.i],
-                             umax[et.i], umin[et.j], umax[et.j])
-        wflux = two_d * ubar
-        wflux += f if fstar is None else fstar
-        return EdgeState(ei=et.i, ej=et.j, ubar=ubar, ftarget=f, fstar=fstar,
-                         umin=umin, umax=umax, wflux=wflux, rhs=ops.b,
-                         rowsum=ctx.row_sums(wflux, uj))
-
-    fixed = ctx.fixed_balancing
-    if fixed is None:
-        P = ctx.balancing_flux(ctx.f_node - ctx.c_node * u)
-        sgn, sink = np.sign(P), ctx.sink(P)
-    else:
-        P, sgn, sink = fixed
+    ui, uj, du, ubar = _bar_prefix(ctx, u, slot)
 
     # one-sided windows around the bar state; the full variant widens them
     # by half the fictitious-value increment
-    Qp = np.maximum(ui, uj)
+    Qp = np.maximum(ui, uj, out=slot["Qp"])
     Qp -= ubar
     Qp -= ctx.bac_e
-    Qm = np.minimum(ui, uj)
+    Qm = np.minimum(ui, uj, out=slot["Qm"])
     Qm -= ubar
     Qm -= ctx.bac_e
     if fict is not None:
@@ -306,56 +407,71 @@ def edge_state(ctx, u, limiter="wmc", variant="full"):
         np.maximum(fict, Qp, out=Qp)
         np.minimum(fict, Qm, out=Qm)
 
+    fixed = ctx.fixed_balancing
+    if fixed is None:
+        s = np.multiply(ctx.c_node, u, out=slot["source"])
+        np.subtract(ctx.f_node, s, out=s)
+        P = ctx.balancing_flux(s, out=slot["P"], scratch=slot["source_j"])
+        sink = ctx.sink(P, out=slot["sink"])
+    else:
+        P, sgn, sink = fixed
+
     # limit_balancing: R|P| of the owner row (|P| on Dirichlet rows), then
     # the smaller magnitude of both orientations
-    rp = np.empty_like(P)
+    rp = slot["rp"]
     np.maximum(P[:nf], Qm[:nf], out=rp[:nf])
     np.minimum(P[:nf], Qp[:nf], out=rp[:nf], where=sink)
-    rp[:nf] *= sgn[:nf]
     np.abs(P[nf:], out=rp[nf:])
-    alphaP = np.minimum(rp, rp[et.rev])
+    if fixed is None:
+        sgn = np.sign(P, out=slot["sgn"])
+    rp[:nf] *= sgn[:nf]
+    alphaP = np.take(rp, et.rev, out=slot["alphaP"], mode="wrap")
+    np.minimum(rp, alphaP, out=alphaP)
     alphaP *= sgn
 
-    ubar_s = ubar + alphaP
-    ubar_s += ctx.bac_e
     # wb_target_flux
-    fs = 0.5 * du
+    reac_du = np.multiply(ops.reac_e, du, out=slot["reac_du"])
+    fs = np.multiply(0.5, du, out=slot["fs"])
     fs -= alphaP
     fs *= two_d
-    np.multiply(ops.reac_e, du, out=tmp)
-    fs += tmp
-    bar_min, bar_max = ctx.row_bounds(ubar_s)
+    fs += reac_du
+    ubar_s = np.add(ubar, alphaP, out=slot["ubar_s"])
+    ubar_s += ctx.bac_e
+    bar_min, bar_max = ctx.row_bounds(ubar_s, slot["table"], slot["bar_min"],
+                                      slot["bar_max"])
 
-    # rows of Dirichlet nodes carry no fluxes in the final system
-    fs_star = np.zeros_like(fs)
     # wb_limit on the free rows.  d is symmetric, so the opposite-side
     # bounds of edge ij are the negated own-side bounds of edge ji; on
     # Dirichlet rows they are infinite, so edges into Dirichlet nodes
     # keep only their owner-side constraint
-    hi = np.repeat(bar_max, ctx.degree)
+    hi = np.take(bar_max, et.i, out=slot["hi"], mode="wrap")
     hi -= ubar_s
     hi *= two_d
     hi[nf:] = np.inf
-    lo = np.repeat(bar_min, ctx.degree)
+    lo = np.take(bar_min, et.i, out=slot["lo"], mode="wrap")
     lo -= ubar_s
     lo *= two_d
     lo[nf:] = -np.inf
     rev = et.rev[:nf]
-    cap = lo[rev]
+    cap = np.take(lo, rev, out=slot["cap"][:nf], mode="wrap")
     np.negative(cap, out=cap)
     np.minimum(hi[:nf], cap, out=cap)
-    floor = hi[rev]
+    floor = np.take(hi, rev, out=slot["floor"][:nf], mode="wrap")
     np.negative(floor, out=floor)
     np.maximum(lo[:nf], floor, out=floor)
-    # floor <= 0 <= cap, so clipping equals the sign-wise selection
+    # floor <= 0 <= cap, so clipping equals the sign-wise selection; rows
+    # of Dirichlet nodes carry no fluxes in the final system
+    fs_star = slot["fs_star"]
     np.maximum(fs[:nf], floor, out=fs_star[:nf])
     np.minimum(fs_star[:nf], cap, out=fs_star[:nf])
+    fs_star[nf:] = 0.0
 
-    wflux = two_d * ubar_s
+    wflux = np.multiply(two_d, ubar_s, out=slot["wflux"])
     wflux += fs_star
+    kept = dict(ubar_s=ubar_s, fs_star=fs_star, bar_min=bar_min,
+                bar_max=bar_max, rhs=ctx.zero_rhs,
+                rowsum=ctx.row_sums(wflux, uj, terms=slot["terms"]))
+    if isinstance(slot, SweepWorkspace):
+        return EdgeState(**kept)
     return EdgeState(ei=et.i, ej=et.j, ubar=ubar, P=P, Qp=Qp, Qm=Qm,
-                     alphaP=alphaP, ubar_s=ubar_s, fs=fs, fs_star=fs_star,
-                     bar_min=bar_min, bar_max=bar_max, wflux=wflux,
-                     rhs=ctx.zero_rhs, rowsum=ctx.row_sums(wflux, uj),
-                     ctx=ctx)
-
+                     alphaP=alphaP, fs=fs, wflux=wflux, ctx=ctx, **kept)

@@ -39,7 +39,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .assembly import assemble
-from .limiter import LIMITERS, VARIANTS, LimiterContext, edge_state
+from .limiter import (LIMITERS, VARIANTS, LimiterContext, SweepWorkspace,
+                      edge_state)
 
 # a residual norm this many times max(first norm, 1) counts as divergence
 DIVERGENCE_GROWTH = 1e8
@@ -205,8 +206,9 @@ class _GaussSeidel:
         diag = ops.row_weight[:m] - np.add.reduceat(d + conv, et.indptr[:m])
         lean = (j < m) & (conv < ops.conv_e[et.rev[:nf]])
         self.level = level = _upwind_levels(i[lean], j[lean], m)
-        self.order = np.argsort(level, kind="stable").astype(np.int32)
-        self.where = np.argsort(self.order).astype(np.int32)
+        # intp indices: np.take converts any other index type on each call
+        self.order = np.argsort(level, kind="stable")
+        self.where = np.argsort(self.order)
         # the edges into lower levels by permuted row, in edge-table order
         e = np.flatnonzero(j < m)
         e = e[level[j[e]] < level[i[e]]]
@@ -225,7 +227,8 @@ class _GaussSeidel:
     def correction(self, r):
         """f = -P^-1 r: the sweep applied to L f = -r from f = 0."""
         fp = self.fp
-        np.take(r, self.order, out=self.rp)
+        # mode "wrap" writes into out= unbuffered (the indices are valid)
+        np.take(r, self.order, out=self.rp, mode="wrap")
         for cols, pos, off, n, rv, neg_diag, fv in self.passes:
             s = np.bincount(pos, off * fp.take(cols), minlength=n)
             np.divide(rv + s, neg_diag, out=fv)
@@ -309,6 +312,8 @@ def solve(mesh, problem, options=None, ops=None):
         ops = assemble(mesh, problem)
 
     ctx = LimiterContext(ops)
+    workspace = (SweepWorkspace(ctx, options.wb_variant)
+                 if options.limiter == "wmc" else None)
     u = _initial_iterate(mesh, problem, guess)
     tail = options.tail_average
     mixer = _Anderson(mesh.num_free, float(options.damping))
@@ -316,7 +321,8 @@ def solve(mesh, problem, options=None, ops=None):
     history, acc, iterations = [], None, 0
     bound_max, bound_count = 0.0, 0
     while True:
-        state = edge_state(ctx, u, options.limiter, options.wb_variant)
+        state = edge_state(ctx, u, options.limiter, options.wb_variant,
+                           workspace=workspace)
         r = residual(ops, state, u)
         # einsum: np.linalg.norm's BLAS dot sums in a thread-dependent order
         rnorm = float(np.sqrt(np.einsum("i,i->", r, r)))
@@ -327,7 +333,9 @@ def solve(mesh, problem, options=None, ops=None):
                 f"fixed-point iteration diverged after {iterations} sweeps")
         if options.check_bounds:
             nf = ctx.num_free_edges
-            star, owner = state.ubar_s_star[:nf], state.ei[:nf]
+            star = state.fs_star[:nf] / ctx.two_d[:nf]
+            star += state.ubar_s[:nf]
+            owner = ctx.et.i[:nf]
             over = star - state.bar_max[owner]
             under = state.bar_min[owner] - star
             worst = max(float(over.max()), float(under.max()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdrfem import PROBLEMS, galerkin_residual
-from cdrfem.limiter import edge_state, mc_limit
+from cdrfem.limiter import VARIANTS, SweepWorkspace, edge_state, mc_limit
 from cdrfem.solver import residual
 from cases import (classified, constant_problem, free_edges, limiter_case,
                    random_iterate, row_scale, unclipped)
@@ -483,3 +483,42 @@ def test_negative_zero_source_keeps_per_sweep_balancing_flux():
     assert np.any(np.signbit(s)) and not np.all(np.signbit(s))
     want = 0.25 * (s[et.i] + s[et.j]) * ctx.geom_e
     assert edge_state(ctx, u).P.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_workspace_state_matches_fresh_call(name, grid_id):
+    # the fields a workspace state keeps have the bytes of a call without
+    # one, down to the signs of zeros; the second call of each variant
+    # reuses the buffers the first wrote, and so pins that its views are
+    # rewritten, not stale, at the next call
+    prob = PROBLEMS[name]()
+    mesh, ops, ctx = limiter_case(prob, grid_id, 3)
+    rng = np.random.default_rng(83 + grid_id)
+    kept = ("rowsum", "ubar_s", "fs_star", "bar_min", "bar_max")
+    for variant in VARIANTS:
+        workspace = SweepWorkspace(ctx, variant)
+        for _ in range(2):
+            u = random_iterate(mesh, prob, rng)
+            pick = rng.random(mesh.num_free)
+            u[:mesh.num_free][pick < 0.1] = 0.0
+            u[:mesh.num_free][pick > 0.9] = -0.0
+            got = edge_state(ctx, u, variant=variant, workspace=workspace)
+            want = edge_state(ctx, u, variant=variant)
+            for field in kept:
+                assert (getattr(got, field).tobytes()
+                        == getattr(want, field).tobytes()), field
+            assert got.rhs is ctx.zero_rhs
+            assert got.wflux is None and got.P is None and got.ctx is None
+
+
+def test_workspace_serves_its_own_balanced_context():
+    prob = PROBLEMS["interior-layers"]()
+    _, _, ctx = limiter_case(prob, 2, 1)
+    _, _, other = limiter_case(prob, 2, 1)
+    u = np.zeros(ctx.mesh.num_vertices)
+    workspace = SweepWorkspace(ctx)
+    with pytest.raises(ValueError):
+        edge_state(other, u, workspace=workspace)
+    with pytest.raises(ValueError):
+        edge_state(ctx, u, limiter="mc", workspace=workspace)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,37 @@ def test_zero_sweep_solve_builds_no_preconditioner(monkeypatch):
     assert rep.converged and rep.iterations == 0
     with pytest.raises(AssertionError, match="preconditioner built"):
         solve(mesh, prob, SolveOptions(max_iter=1))
+
+
+def test_sweeps_past_the_first_allocate_no_edge_array(monkeypatch):
+    # solve evaluates the balanced limiter into a workspace built with the
+    # limiter context, and the correction's levels and the mixer's buffers
+    # exist after the first step.  From the second evaluation on, every
+    # edge-sized array a sweep writes is then a slot of that workspace or a
+    # context array, both already held; what the sweeps add on top is
+    # per-node (the row sums, the residual, the correction and the next
+    # iterate), so the traced peak stays below one edge array, 8 E bytes
+    prob = PROBLEMS["equilibrium"]()
+    mesh = classified(prob, 1, 5)
+    ops = assemble(mesh, prob)
+    calls, start, real = [0], [], cdrfem.solver.edge_state
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 2:
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cdrfem.solver, "edge_state", counted)
+    tracemalloc.start()
+    try:
+        rep = solve(mesh, prob, ops=ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations > 10
+    assert peak - start[0] < 8 * mesh.edges.i.size
 
 
 def test_max_iter_reports_nonconvergence():

@@ -9,7 +9,9 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
 * solves, compared on the bytes of ``u`` and ``residual_history`` and on
   ``iterations``, ``converged``, ``restarts`` and ``bound_check``; among
   them the zero-sweep solve from the exact ramp that the level-8 benchmark
-  workload runs, here at grid 2, level 6;
+  workload runs, here at grid 2, level 6, and a reactive simplified solve
+  with ``check_bounds`` (interior-layers), whose balancing flux follows the
+  iterate;
 * CLI runs through ``cdrfem.cli.run``, compared on every file they write
   and on stdout: the criterion-8 ladder at levels 3:5 (the ``ladder-cc``
   benchmark workload), two single-level ``solve`` runs, one with an exact
@@ -80,6 +82,9 @@ SOLVES = {
          {"damping": 0.25, "max_iter": 600, "tail_average": 200}),
     "boundary-layers g1 L4 check_bounds":
         ("boundary-layers", 1, 4, {"check_bounds": True}),
+    "interior-layers g2 L4 simplified check_bounds":
+        ("interior-layers", 2, 4, {"wb_variant": "simplified",
+                                   "check_bounds": True}),
 }
 
 # (problem, grid, level) of the ``Gauss-Seidel corrections`` case
