@@ -11,7 +11,7 @@ diffusion d_ij has a positive floor on every neighbor pair.
 
 import numpy as np
 
-from .mesh import _corners
+from .mesh import _cell_grads, _corners
 
 # floor factor for the artificial diffusion, scaled by the mesh size
 DELTA = 1e-10
@@ -80,7 +80,7 @@ def _local_blocks(mesh, problem):
     over all three q.
     """
     area = mesh.cell_areas
-    grads = mesh.cell_grads
+    grads = _cell_grads(mesh)
     qx, qy = _midpoints(mesh)
     vx, vy = problem.velocity(qx, qy)
     cq = problem.reaction(qx, qy)

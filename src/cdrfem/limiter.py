@@ -34,7 +34,10 @@ The pass over the edges relies on these invariants:
   owner-side bounds of edge ji.
 * Edges into Dirichlet nodes have no opposite-side bound.  Infinite bounds
   on Dirichlet rows make that side drop out of the clip without a branch.
-* Sweep-invariant edge data live in ``LimiterContext``.  The diagnostics
+* Sweep-invariant edge data live in ``LimiterContext``, which keeps only
+  what the sweeps read: the hat gradients behind the mirror-cell weights
+  are not kept, and the balancing-flux factor ``geom_e`` is dropped once
+  the fixed P below is built from it.  The diagnostics
   ``alpha`` and ``ubar_s_star`` feed no iterate and are computed when
   read; ``alpha`` is read off ``alphaP``, the balancing flux the sweep
   applied.
@@ -58,6 +61,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from .mesh import _cell_grads
 
 LIMITERS = ("galerkin", "mc", "wmc")
 VARIANTS = ("full", "simplified")
@@ -136,10 +141,16 @@ class LimiterContext:
 
     ``num_free_edges`` edges lead out of free rows; ``b_neg`` and ``b_zero``
     hold the sign of b_i on those edges.  ``two_d`` is 2*d_ij and ``bac_e``
-    is b_i / a_i^C of the owner row, per edge; ``degree`` counts the edges of
-    each row, and ``zero_rhs`` is the read-only right-hand side of the
-    balanced limiter.  ``LimiterContext(ops)`` reads the mesh and the
-    problem off the operators.
+    is b_i / a_i^C of the owner row, per edge; row k of ``row_table`` holds
+    the k-th edge of every row, and ``zero_rhs`` is the read-only right-hand
+    side of the balanced limiter.  ``LimiterContext(ops)`` reads the mesh
+    and the problem off the operators.
+
+    On first read the context adds the nodal samples ``f_node`` and
+    ``c_node``, the mirror-cell increments ``grad_incr`` and the balancing
+    flux factor ``geom_e``.  ``fixed_balancing`` drops ``geom_e`` once it
+    has built the read-only P, which no sweep then rebuilds; a context
+    whose P follows the iterate keeps it for its sweeps.
     """
 
     def __init__(self, ops):
@@ -147,25 +158,33 @@ class LimiterContext:
         self.ops = ops
         et = self.et = mesh.edges
         self.num_free_edges = int(et.indptr[mesh.num_free])
-        self.degree = np.diff(et.indptr)
         self.two_d = 2.0 * ops.d_e
         self.bac_e = (ops.b / ops.art_row)[et.i]
         b_free = ops.b[et.i[:self.num_free_edges]]
         self.b_neg = b_free < 0.0
         self.b_zero = b_free == 0.0
         # column r lists the edges of row r, the last one repeated on short
-        # rows, so row extrema are reductions over the first axis
-        k = np.arange(self.degree.max(initial=1))[:, None]
-        self.row_table = et.indptr[:-1] + np.minimum(k, self.degree - 1)
+        # rows; row_bounds folds in the rows of the table in order
+        degree = np.diff(et.indptr)
+        k = np.arange(degree.max(initial=1))[:, None]
+        self.row_table = et.indptr[:-1] + np.minimum(k, degree - 1)
         self.zero_rhs = np.zeros(mesh.num_vertices)
         self.zero_rhs.flags.writeable = False
 
-    def row_bounds(self, values, table=None, lo=None, hi=None):
+    def row_bounds(self, values, row=None, lo=None, hi=None):
         """Per-node minimum and maximum of an edge array over each row,
-        written into ``lo`` and ``hi`` if given; ``table`` takes the
-        gathered rows."""
-        table = np.take(values, self.row_table, out=table, mode="wrap")
-        return np.min(table, axis=0, out=lo), np.max(table, axis=0, out=hi)
+        written into ``lo`` and ``hi`` if given; ``row`` takes the values
+        each pass gathers.  Pass k folds in the k-th edge of every row, the
+        order of a reduction over the first axis of the gathered table, so
+        signed zeros and NaNs come out as that reduction gives them."""
+        table = self.row_table
+        lo = np.take(values, table[0], out=lo, mode="wrap")
+        hi = np.take(values, table[0], out=hi, mode="wrap")
+        for edges in table[1:]:
+            row = np.take(values, edges, out=row, mode="wrap")
+            np.minimum(lo, row, out=lo)
+            np.maximum(hi, row, out=hi)
+        return lo, hi
 
     def row_sums(self, wflux, uj, terms=None):
         """Sums over j of wflux_ij - a_ij^D u_j, per unknown row; the
@@ -224,11 +243,13 @@ class LimiterContext:
         """(P, sign(P), sink) as read-only arrays when the net source
         s = f - c u does not depend on u, else None.  That holds when c
         vanishes and f has no -0: c u is then +0 or -0 at every finite
-        iterate, and f_i - (+-0) is f_i."""
+        iterate, and f_i - (+-0) is f_i.  Once P is built, no sweep reads
+        ``geom_e``, so it is dropped."""
         f = self.f_node
         if np.any(self.c_node) or np.any(np.signbit(f[f == 0.0])):
             return None
         P = self.balancing_flux(f)
+        del self.geom_e
         fixed = P, np.sign(P), self.sink(P)
         for a in fixed:
             a.flags.writeable = False
@@ -242,14 +263,16 @@ class LimiterContext:
         weight[k] is the hat gradient of corner k dotted with x_i - x_j,
         summed from +0 in coordinate order."""
         mesh = self.mesh
-        kcell = mesh.mirror_cells
+        # intp once: each gather would convert the int32 ids on its own
+        kcell = mesh.mirror_cells.astype(np.intp)
         vertex = np.take(np.ascontiguousarray(mesh.cells.T), kcell, axis=1)
+        grads = _cell_grads(mesh)
         weight = np.zeros((3, len(kcell)))
         for d, x in enumerate(mesh.vertices.T):
             x = np.ascontiguousarray(x)
             dx = x[self.et.i] - x[self.et.j]
             for k in range(3):
-                weight[k] += mesh.cell_grads[k, d][kcell] * dx
+                weight[k] += grads[k, d][kcell] * dx
         return vertex, weight
 
     def fictitious_increment(self, u, out=None, scratch=None):
@@ -287,11 +310,8 @@ _EDGE_BUFFERS = (
 
 def _slot_array(ctx, name):
     """A new, uninitialised array of the shape and type of slot ``name``:
-    the row-bounds table, a per-node array, the sink mask of the free edges
-    or an edge array."""
-    if name == "table":
-        return np.empty(ctx.row_table.shape)
-    if name in ("bar_min", "bar_max", "source"):
+    a per-node array, the sink mask of the free edges or an edge array."""
+    if name in ("row", "bar_min", "bar_max", "source"):
         return np.empty(ctx.mesh.num_vertices)
     if name == "sink":
         return np.empty(ctx.num_free_edges, dtype=bool)
@@ -311,16 +331,17 @@ class _Fresh:
 
 class SweepWorkspace:
     """The buffers that the balanced sweeps of one solve write into: the
-    seven edge buffers of ``_EDGE_BUFFERS``, the row-bounds table, the bar
-    state bounds and, where the balancing flux follows the iterate, the net
-    source and the sink mask.  Building it first builds the mirror-cell
-    increments (``variant`` "full") and the fixed balancing flux, so the
-    sweeps' buffers follow the context's arrays."""
+    seven edge buffers of ``_EDGE_BUFFERS``, the per-node row of the
+    row-bounds passes, the bar state bounds and, where the balancing flux
+    follows the iterate, the net source and the sink mask.  Building it
+    first builds the mirror-cell increments (``variant`` "full") and the
+    fixed balancing flux, so the sweeps' buffers follow the context's
+    arrays."""
 
     def __init__(self, ctx, variant="full"):
         if variant == "full":
             ctx.grad_incr
-        names = ["table", "bar_min", "bar_max"]
+        names = ["row", "bar_min", "bar_max"]
         if ctx.fixed_balancing is None:
             names += ["source", "sink"]
         self.ctx = ctx
@@ -437,7 +458,7 @@ def _balanced_state(ctx, u, variant, slot):
     fs += reac_du
     ubar_s = np.add(ubar, alphaP, out=slot["ubar_s"])
     ubar_s += ctx.bac_e
-    bar_min, bar_max = ctx.row_bounds(ubar_s, slot["table"], slot["bar_min"],
+    bar_min, bar_max = ctx.row_bounds(ubar_s, slot["row"], slot["bar_min"],
                                       slot["bar_max"])
 
     # wb_limit on the free rows.  d is symmetric, so the opposite-side

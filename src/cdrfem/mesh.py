@@ -15,7 +15,12 @@ used to extrapolate u_h to ``2 x_i - x_j``.  It reads the cells at ``x_i``
 off the edge table, as the left cells of the edges out of ``x_i``: the
 smallest wedge cell, otherwise the cell of smallest angle, ties to the
 smallest cell.  Its docstring says why a cell containing ``2 x_i - x_j``
-needs no level of its own.
+needs no level of its own.  It is stored as int32, like
+``EdgeTable.cell_edges``.
+
+A ``Mesh`` keeps only what its users read more than once: the geometry
+checked by its constructor and, on first read, the edge table and the
+mirror cells.  The hat gradients (``_cell_grads``) are computed on each call.
 """
 
 from collections import namedtuple
@@ -108,19 +113,6 @@ class Mesh:
         return len(self.cells)
 
     @cached_property
-    def cell_grads(self):
-        """Hat gradients (3, 2, c): row [k, d] holds component d of hat k."""
-        x, y = _corners(self)
-        two_area = 2.0 * self.cell_areas
-        g = np.empty((3, 2, self.num_cells))
-        for k in range(3):
-            # grad of hat at vertex k is the rotated opposite edge / (2 area)
-            a, b = (k + 1) % 3, (k + 2) % 3
-            np.divide(-(y[b] - y[a]), two_area, out=g[k, 0])
-            np.divide(x[b] - x[a], two_area, out=g[k, 1])
-        return g
-
-    @cached_property
     def edges(self):
         """Directed cell edges as an EdgeTable.
 
@@ -155,7 +147,7 @@ class Mesh:
         ``x_i`` and hosts the reflected point ``2 x_i - x_j``: a cell whose
         corner wedge at ``x_i`` contains the direction ``x_i - x_j``,
         otherwise the incident cell angularly closest to that direction.
-        Ties resolve to the smallest cell index.
+        Ties resolve to the smallest cell index.  The ids are int32.
 
         A cell that contains the reflected point always wins, with no rule
         of its own.  It is a wedge cell, and on a conforming mesh the corner
@@ -182,6 +174,21 @@ def _corners(mesh):
     whose row k holds corner k of every cell."""
     cols = np.ascontiguousarray(mesh.cells.T)
     return tuple(np.ascontiguousarray(v)[cols] for v in mesh.vertices.T)
+
+
+def _cell_grads(mesh):
+    """Hat gradients (3, 2, c): row [k, d] holds component d of hat k.
+    They are computed on each call, not kept: assembly and the limiter
+    context each read them once."""
+    x, y = _corners(mesh)
+    two_area = 2.0 * mesh.cell_areas
+    g = np.empty((3, 2, mesh.num_cells))
+    for k in range(3):
+        # grad of hat at vertex k is the rotated opposite edge / (2 area)
+        a, b = (k + 1) % 3, (k + 2) % 3
+        np.divide(-(y[b] - y[a]), two_area, out=g[k, 0])
+        np.divide(x[b] - x[a], two_area, out=g[k, 1])
+    return g
 
 
 # rows per block of the row-blocked stages (mirror cells, error norms, VTK
@@ -229,7 +236,7 @@ def _mirror_cells(mesh):
     # at a time as (D, rows) arrays, column r holding the D edges of row r;
     # pass k offers every edge of a row the left cell of the row's k-th
     # edge (cell nc leaves the minimum as it is)
-    best = np.empty(len(et.i), dtype=left.dtype)
+    best = np.empty(len(et.i), dtype=np.int32)
     for deg in np.flatnonzero(np.bincount(degree)):
         starts = et.indptr[:-1][degree == deg]
         for blk in _row_blocks(len(starts), deg):

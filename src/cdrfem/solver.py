@@ -283,6 +283,41 @@ class _Anderson:
         return unew
 
 
+class _BoundCheck:
+    """The ``check_bounds`` record of one solve: the worst excess of a
+    limited shifted bar state over the bounds of its owner row, and the
+    number of excesses above 1e-12, over the free edges of every evaluated
+    iterate.  The states, the gathered bounds and the excesses go into
+    free-edge rows allocated once."""
+
+    def __init__(self, ctx):
+        nf = ctx.num_free_edges
+        self.two_d, self.owner = ctx.two_d[:nf], ctx.et.i[:nf]
+        self.star, self.excess = np.empty(nf), np.empty(nf)
+        self.flagged = np.empty(nf, dtype=bool)
+        self.worst, self.count = 0.0, 0
+
+    def add(self, state):
+        nf = self.owner.size
+        star = np.divide(state.fs_star[:nf], self.two_d, out=self.star)
+        star += state.ubar_s[:nf]
+        over = np.take(state.bar_max, self.owner, out=self.excess, mode="wrap")
+        np.subtract(star, over, out=over)
+        self._tally(over)
+        under = np.take(state.bar_min, self.owner, out=self.excess,
+                        mode="wrap")
+        np.subtract(under, star, out=under)
+        self._tally(under)
+
+    def _tally(self, excess):
+        self.worst = max(self.worst, float(excess.max()))
+        self.count += int(np.count_nonzero(
+            np.greater(excess, 1e-12, out=self.flagged)))
+
+    def summary(self):
+        return {"max_violation": self.worst, "violations": self.count}
+
+
 def solve(mesh, problem, options=None, ops=None):
     """Solve one problem on a classified mesh.
 
@@ -319,7 +354,7 @@ def solve(mesh, problem, options=None, ops=None):
     mixer = _Anderson(mesh.num_free, float(options.damping))
     precond = None
     history, acc, iterations = [], None, 0
-    bound_max, bound_count = 0.0, 0
+    bounds = _BoundCheck(ctx) if options.check_bounds else None
     while True:
         state = edge_state(ctx, u, options.limiter, options.wb_variant,
                            workspace=workspace)
@@ -331,16 +366,8 @@ def solve(mesh, problem, options=None, ops=None):
         if not (np.isfinite(rnorm) and rnorm <= limit):
             raise RuntimeError(
                 f"fixed-point iteration diverged after {iterations} sweeps")
-        if options.check_bounds:
-            nf = ctx.num_free_edges
-            star = state.fs_star[:nf] / ctx.two_d[:nf]
-            star += state.ubar_s[:nf]
-            owner = ctx.et.i[:nf]
-            over = star - state.bar_max[owner]
-            under = state.bar_min[owner] - star
-            worst = max(float(over.max()), float(under.max()))
-            bound_max = max(bound_max, worst)
-            bound_count += int(np.sum(over > 1e-12) + np.sum(under > 1e-12))
+        if bounds is not None:
+            bounds.add(state)
         converged = rnorm <= options.tol
         if converged or iterations >= options.max_iter:
             if converged or acc is None:
@@ -356,11 +383,10 @@ def solve(mesh, problem, options=None, ops=None):
         if tail > 0 and iterations > options.max_iter - tail:
             acc = u.copy() if acc is None else acc + u
 
-    bounds = {"max_violation": bound_max, "violations": bound_count}
     return SolveReport(
         u=u, converged=converged, iterations=iterations,
         residual_history=np.asarray(history), restarts=mixer.restarts,
-        bound_check=bounds if options.check_bounds else None)
+        bound_check=None if bounds is None else bounds.summary())
 
 
 @dataclass

@@ -38,7 +38,7 @@ def roll_h(mesh):
 
 
 def gathered_cell_geometry(mesh):
-    """``Mesh.cell_areas`` and ``Mesh.cell_grads`` from the (c, 3, 2)
+    """``Mesh.cell_areas`` and ``mesh._cell_grads`` from the (c, 3, 2)
     gather of the cell corners, the gradients cell-major as (c, 3, 2)."""
     p = mesh.vertices[mesh.cells]
     d1 = p[:, 1] - p[:, 0]
@@ -60,9 +60,16 @@ def einsum_grad_incr(ctx):
     kcell = mesh.mirror_cells
     vertex = np.ascontiguousarray(mesh.cells[kcell].T)
     dx = mesh.vertices[ctx.et.i] - mesh.vertices[ctx.et.j]
-    grads = np.moveaxis(mesh.cell_grads, -1, 0)[kcell]
+    grads = gathered_cell_geometry(mesh)[1][kcell]
     weight = np.ascontiguousarray(np.einsum("ekd,ed->ke", grads, dx))
     return vertex, weight
+
+
+def table_row_bounds(ctx, values):
+    """``LimiterContext.row_bounds`` as one (D, n) gather through
+    ``ctx.row_table`` and a minimum and a maximum over its first axis."""
+    table = values[ctx.row_table]
+    return np.min(table, axis=0), np.max(table, axis=0)
 
 
 def lexsort_mirror_cells(mesh):
@@ -182,8 +189,7 @@ def einsum_local_blocks(mesh, problem):
     contractions: (local_diff, local_conv, local_reac, local_b,
     source_nonnegative)."""
     area = mesh.cell_areas
-    # the (c, 3, 2) gradients, contiguous as the einsums read them
-    grads = np.ascontiguousarray(np.moveaxis(mesh.cell_grads, -1, 0))
+    grads = gathered_cell_geometry(mesh)[1]
     p = mesh.vertices[mesh.cells]
     phi = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
 
@@ -306,7 +312,8 @@ def fictitious_value(mesh, u, i, j):
     cell = mirror_cell(mesh, i, j)
     tri = mesh.cells[cell]
     dx = mesh.vertices[i] - mesh.vertices[j]
-    return float(u[i] + u[tri] @ (mesh.cell_grads[:, :, cell] @ dx))
+    grads = gathered_cell_geometry(mesh)[1][cell]
+    return float(u[i] + u[tri] @ (grads @ dx))
 
 
 def bar_state(u_i, u_j, conv_ij, d_ij):

@@ -1,17 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cdrfem import PROBLEMS, galerkin_residual
-from cdrfem.limiter import VARIANTS, SweepWorkspace, edge_state, mc_limit
+from cdrfem import PROBLEMS, assemble, galerkin_residual
+from cdrfem.limiter import (VARIANTS, LimiterContext, SweepWorkspace,
+                            edge_state, mc_limit)
 from cdrfem.solver import residual
 from cases import (classified, constant_problem, free_edges, limiter_case,
                    random_iterate, row_scale, unclipped)
 from oracles import (_r_abs_p, balancing_flux, bar_state, einsum_grad_incr,
                      fictitious_value, limit_balancing, limiting_factor,
-                     mc_target_flux, mirror_cell, net_source, wb_bar_state,
-                     wb_limit, wb_target_flux)
+                     mc_target_flux, mirror_cell, net_source,
+                     table_row_bounds, wb_bar_state, wb_limit, wb_target_flux)
 
 
 def all_benchmarks():
@@ -522,3 +524,59 @@ def test_workspace_serves_its_own_balanced_context():
         edge_state(other, u, workspace=workspace)
     with pytest.raises(ValueError):
         edge_state(ctx, u, limiter="mc", workspace=workspace)
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_row_bounds_match_table_oracle(level):
+    # pass k folds in the k-th edge of every row, as the axis-0 reduction
+    # of the gathered table folds its rows: ties of +0 and -0 and NaNs come
+    # out the same, with buffers given or not
+    _, _, ctx = limiter_case(PROBLEMS["interior-layers"](), 2, level)
+    rng = np.random.default_rng(97)
+    size, n = ctx.et.i.size, ctx.mesh.num_vertices
+    for values in (rng.choice([0.0, -0.0], size),
+                   rng.choice([-1.0, -0.0, 0.0, 1.0], size),
+                   rng.choice([-0.0, 0.0, 2.0, np.nan], size),
+                   rng.standard_normal(size)):
+        want = table_row_bounds(ctx, values)
+        buffers = np.empty(n), np.empty(n), np.empty(n)
+        for got in (ctx.row_bounds(values), ctx.row_bounds(values, *buffers)):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        assert got[0] is buffers[1] and got[1] is buffers[2]
+
+
+def test_workspace_context_keeps_geom_e_only_for_its_sweeps():
+    # once the read-only P is built no sweep reads geom_e, so the context
+    # drops it; a reactive context rebuilds P from it at every sweep
+    for name, fixed in (("equilibrium", True), ("circular-convection", False)):
+        prob = PROBLEMS[name]()
+        mesh, _, ctx = limiter_case(prob, 2, 2)
+        workspace = SweepWorkspace(ctx)
+        assert "geom_e" not in vars(ctx)
+        u = random_iterate(mesh, prob, np.random.default_rng(101))
+        edge_state(ctx, u, workspace=workspace)
+        assert (ctx.fixed_balancing is not None) == fixed
+        assert ("geom_e" in vars(ctx)) != fixed
+
+
+@pytest.mark.parametrize("grid_id", [1, 2])
+def test_context_and_workspace_hold_twenty_edge_arrays(grid_id):
+    # a reaction-free context holds two_d, bac_e, the fixed P and sign(P)
+    # and the six rows of grad_incr, its workspace seven edge buffers: 17
+    # arrays of 8 E bytes.  The row table, the int32 mirror cells, the sign
+    # masks and six node arrays add about three more.  The hat gradients,
+    # geom_e and a (D, n) gathered table are not held
+    prob = PROBLEMS["equilibrium"]()
+    mesh = classified(prob, grid_id, 5)
+    ops = assemble(mesh, prob)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ctx = LimiterContext(ops)
+        workspace = SweepWorkspace(ctx)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert workspace.ctx is ctx
+    assert held < 20.5 * 8 * mesh.edges.i.size

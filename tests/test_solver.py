@@ -215,15 +215,24 @@ def test_zero_sweep_solve_builds_no_preconditioner(monkeypatch):
         solve(mesh, prob, SolveOptions(max_iter=1))
 
 
-def test_sweeps_past_the_first_allocate_no_edge_array(monkeypatch):
+@pytest.mark.parametrize(
+    "name, check_bounds",
+    [("equilibrium", False), ("equilibrium", True),
+     ("circular-convection", False)],
+    ids=["equilibrium", "equilibrium check_bounds", "circular-convection"])
+def test_sweeps_past_the_first_allocate_no_edge_array(monkeypatch, name,
+                                                      check_bounds):
     # solve evaluates the balanced limiter into a workspace built with the
-    # limiter context, and the correction's levels and the mixer's buffers
-    # exist after the first step.  From the second evaluation on, every
-    # edge-sized array a sweep writes is then a slot of that workspace or a
-    # context array, both already held; what the sweeps add on top is
+    # limiter context, the bound check into free-edge rows built with it,
+    # and the correction's levels and the mixer's buffers exist after the
+    # first step.  From the second evaluation on, every edge-sized array a
+    # sweep writes is then a slot of that workspace, a row of the check or
+    # a context array, all already held; what the sweeps add on top is
     # per-node (the row sums, the residual, the correction and the next
-    # iterate), so the traced peak stays below one edge array, 8 E bytes
-    prob = PROBLEMS["equilibrium"]()
+    # iterate), so the traced peak stays below one edge array, 8 E bytes.
+    # circular-convection is reactive: its sweeps rebuild P, sign(P), s_j
+    # and the sink mask in the workspace
+    prob = PROBLEMS[name]()
     mesh = classified(prob, 1, 5)
     ops = assemble(mesh, prob)
     calls, start, real = [0], [], cdrfem.solver.edge_state
@@ -238,12 +247,27 @@ def test_sweeps_past_the_first_allocate_no_edge_array(monkeypatch):
     monkeypatch.setattr(cdrfem.solver, "edge_state", counted)
     tracemalloc.start()
     try:
-        rep = solve(mesh, prob, ops=ops)
+        rep = solve(mesh, prob, SolveOptions(check_bounds=check_bounds),
+                    ops=ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.converged and rep.iterations > 10
+    assert (rep.bound_check is not None) == check_bounds
     assert peak - start[0] < 8 * mesh.edges.i.size
+
+
+def test_solve_keeps_no_hat_gradients_on_the_mesh():
+    # assembly and the mirror-cell weights each compute the gradients
+    # once; the mesh keeps only what is read again
+    prob = PROBLEMS["equilibrium"]()
+    mesh = classified(prob, 2, 3)
+    rep = solve(mesh, prob, SolveOptions(max_iter=2))
+    assert rep.iterations == 2
+    shapes = [v.shape for v in vars(mesh).values()
+              if isinstance(v, np.ndarray)]
+    assert (3, 2, mesh.num_cells) not in shapes
+    assert mesh.mirror_cells.dtype == np.int32
 
 
 def test_max_iter_reports_nonconvergence():

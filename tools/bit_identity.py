@@ -33,9 +33,13 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
   revision with another sweep this case, the solves, the CLI runs and the
   demos that iterate differ by design;
 * ``set-up arrays``: the bytes, dtype and shape of ``h``, ``cell_areas``,
-  ``cell_grads``, every ``EdgeTable`` field and ``mirror_cells`` of the
+  the hat gradients, every ``EdgeTable`` field and ``mirror_cells`` of the
   classified mesh, of both ``LimiterContext.grad_incr`` arrays and of every
-  array of its ``Operators``, for every problem on both grids at level 5;
+  array of its ``Operators``, for every problem on both grids at level 5.
+  The hat gradients are read through the accessor each tree has (the
+  cached ``Mesh.cell_grads`` or the function ``mesh._cell_grads``), and the
+  mirror cells are written as int64 values whatever type the tree stores
+  them in, so the case compares values, not storage;
 * ``output path``: the bytes ``cli.write_vtk`` writes, the ``.hex()`` of
   both ``error_norms`` and the rows of ``audit_dmp`` (its floats as
   ``.hex()``), for the zero-sweep solve from the exact ramp at grid 2,
@@ -45,8 +49,8 @@ process with ``PYTHONPATH`` set to the tree's ``src``:
 
 It prints one ``equal`` or ``different`` line per case and exits 1 if any
 case differs.  ``REV`` must be commit d6fa896 or later, which builds
-``LimiterContext(ops)`` from the operators alone, stores ``cell_grads`` and
-``cell_edges`` in the row layout (3, 2, c) and (6, c), and reports
+``LimiterContext(ops)`` from the operators alone, lays out the hat
+gradients and ``cell_edges`` in rows, (3, 2, c) and (6, c), and reports
 ``SolveReport.restarts``.  The set takes about 10 s on a 2-vCPU machine.
 """
 
@@ -162,6 +166,15 @@ def _edge_state_bytes(problem, grid):
     return b"".join(chunks)
 
 
+def _hat_gradients(mesh):
+    """The (3, 2, c) hat gradients of ``mesh``: the cached property of
+    trees that keep them on the mesh, else ``mesh._cell_grads``."""
+    if hasattr(type(mesh), "cell_grads"):
+        return mesh.cell_grads
+    from cdrfem.mesh import _cell_grads
+    return _cell_grads(mesh)
+
+
 def _setup_array_bytes(problem, grid):
     """The bytes of the ``set-up arrays`` case for one problem and grid."""
     from cdrfem import assemble
@@ -171,10 +184,10 @@ def _setup_array_bytes(problem, grid):
     ops = assemble(mesh, problem)
     vertex, weight = LimiterContext(ops).grad_incr
     arrays = {"h": np.float64(mesh.h), "cell_areas": mesh.cell_areas,
-              "cell_grads": mesh.cell_grads}
+              "cell_grads": _hat_gradients(mesh)}
     arrays.update((f"edges.{name}", value)
                   for name, value in mesh.edges._asdict().items())
-    arrays.update({"mirror_cells": mesh.mirror_cells,
+    arrays.update({"mirror_cells": mesh.mirror_cells.astype(np.int64),
                    "grad_incr vertex": vertex, "grad_incr weight": weight})
     arrays.update((f"ops.{name}", value) for name, value in vars(ops).items()
                   if isinstance(value, np.ndarray))
